@@ -37,9 +37,9 @@ val create :
     round-robin to workers, each rank's engine runs its own launches
     single-worker, and every cross-rank step (fabric transfers, face
     fills, reduction sums) stays on the calling thread — results are
-    bit-identical to the sequential rank sweep.  On the OCaml 4.x
-    back-end the workers run sequentially.  A malformed environment
-    override falls back to 1 with a note on stderr. *)
+    bit-identical to the sequential rank sweep.  Parsed by
+    {!Gpusim.Machine.domains_of_env}: a malformed environment override
+    falls back to 1 with a note on stderr. *)
 
 val nranks : t -> int
 val local_geom : t -> Layout.Geometry.t

@@ -24,7 +24,7 @@ type stats = {
 
 type t = {
   machine : Machine.t;
-  mutable mode : mode;
+  mode : mode;
   mutable vm_domains : int;
   mutable clock_ns : float;
   mutable used_bytes : int;
@@ -58,12 +58,10 @@ let create ?(mode = Functional) ?vm_domains machine =
       };
   }
 
-let set_mode t mode = t.mode <- mode
 let vm_domains t = t.vm_domains
 let set_vm_domains t n = t.vm_domains <- max 1 n
 let clock_ns t = t.clock_ns
 let used_bytes t = t.used_bytes
-let free_bytes t = t.machine.Machine.memory_bytes - t.used_bytes
 let stats t = t.stats
 
 let grow t =
@@ -148,7 +146,6 @@ let account_transfer t ~bytes ~to_device =
   let ns = transfer_cost t ~bytes ~to_device in
   t.clock_ns <- t.clock_ns +. ns
 
-let advance_clock t ns = t.clock_ns <- t.clock_ns +. ns
 let set_clock_ns t ns = t.clock_ns <- ns
 
 (* Execute a compiled kernel over [nthreads] logical threads and return its

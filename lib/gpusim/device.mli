@@ -26,7 +26,7 @@ type stats = {
 
 type t = {
   machine : Machine.t;
-  mutable mode : mode;
+  mode : mode;
   mutable vm_domains : int;  (** worker cap for parallel kernel execution *)
   mutable clock_ns : float;
   mutable used_bytes : int;
@@ -43,12 +43,10 @@ val create : ?mode:mode -> ?vm_domains:int -> Machine.t -> t
     with [REPRO_VM_DOMAINS]).  Results are bit-identical for any
     worker count. *)
 
-val set_mode : t -> mode -> unit
 val vm_domains : t -> int
 val set_vm_domains : t -> int -> unit
 val clock_ns : t -> float
 val used_bytes : t -> int
-val free_bytes : t -> int
 val stats : t -> stats
 
 val alloc_f16 : t -> int -> Buffer.t
@@ -101,7 +99,6 @@ val account_transfer : t -> bytes:int -> to_device:bool -> unit
 (** Advance the clock by the PCIe model for a synchronous host<->device
     copy ([transfer_cost] + clock advance). *)
 
-val advance_clock : t -> float -> unit
 val set_clock_ns : t -> float -> unit
 
 val execute : t -> Jit.compiled -> nthreads:int -> block:int -> params:Vm.param_value array -> float

@@ -71,30 +71,27 @@ let by_name = function
   | "K20m_eccon" -> Some k20m_ecc_on
   | _ -> None
 
-(* Worker-count resolution for the parallel VM back-end: explicit
-   argument > REPRO_VM_DOMAINS environment override > hardware count
-   reported by the back-end (1 on the sequential fallback).  A
+(* Worker-count resolution shared by the [REPRO_*_DOMAINS] knobs:
+   explicit argument > environment variable [var] > [default].  A
    malformed override (zero, negative, non-numeric) is never trusted:
-   it falls back to the hardware count with a note on stderr, so a
+   it falls back to [default] with a note on stderr naming [var], so a
    typo'd CI pin degrades loudly instead of silently serializing (or
    crashing) every launch. *)
-let host_domains ?vm_domains () =
-  let avail = Vm_backend.available_domains () in
+let domains_of_env ?arg var ~default =
   let n =
-    match vm_domains with
+    match arg with
     | Some n -> n
     | None -> (
-        match Sys.getenv_opt "REPRO_VM_DOMAINS" with
+        match Sys.getenv_opt var with
+        | None -> default
         | Some s -> (
             match int_of_string_opt (String.trim s) with
             | Some v when v >= 1 -> v
             | Some _ | None ->
-                Printf.eprintf
-                  "gpusim: REPRO_VM_DOMAINS=%S is not a positive integer; using the hardware \
-                   count (%d)\n\
-                   %!"
-                  s avail;
-                avail)
-        | None -> avail)
+                Printf.eprintf "%s=%S is not a positive integer; using %d\n%!" var s default;
+                default))
   in
   max 1 (min n 64)
+
+let host_domains ?vm_domains () =
+  domains_of_env ?arg:vm_domains "REPRO_VM_DOMAINS" ~default:(Vm_backend.available_domains ())

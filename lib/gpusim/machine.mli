@@ -36,10 +36,14 @@ val k20m_ecc_on : t
 
 val by_name : string -> t option
 
+val domains_of_env : ?arg:int -> string -> default:int -> int
+(** [domains_of_env ?arg var ~default]: a worker count — [arg] if given,
+    else the environment variable [var] (trimmed), else [default].
+    Clamped to [1, 64].  A malformed override (zero, negative or
+    non-numeric) falls back to [default] with a note on stderr naming
+    [var] rather than being trusted. *)
+
 val host_domains : ?vm_domains:int -> unit -> int
-(** Workers for the parallel VM back-end: [vm_domains] if given, else
-    the [REPRO_VM_DOMAINS] environment override, else the hardware count
-    {!Vm_backend.available_domains} reports (1 on the OCaml 4.x
-    sequential fallback).  Clamped to [1, 64].  A malformed override
-    (zero, negative or non-numeric) falls back to the hardware count
-    with a note on stderr rather than being trusted. *)
+(** Workers for the parallel VM back-end: {!domains_of_env} over
+    [REPRO_VM_DOMAINS], defaulting to the hardware count
+    {!Vm_backend.available_domains} reports. *)

@@ -16,7 +16,6 @@
 
 type prec = Sp | Dp
 
-val blocks_per_sm : Machine.t -> regs_per_thread:int -> block:int -> int
 val resident_threads : Machine.t -> regs_per_thread:int -> block:int -> int
 
 val launch_fits : Machine.t -> regs_per_thread:int -> block:int -> bool

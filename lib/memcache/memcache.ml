@@ -55,7 +55,7 @@ type t = {
       (** called before any host access to a cached field, ahead of the
           dirty-copy page-out — the engine flushes its deferred launch
           queue here so the device copy is current first *)
-  domain_lock : bool Atomic.t;  (** guards [domain_arenas] creation *)
+  domain_lock : Mutex.t;  (** guards [domain_arenas] creation *)
   domain_arenas : (int, arena) Hashtbl.t;
   stats : stats;
 }
@@ -70,7 +70,7 @@ let create ?sched device =
     entries = Hashtbl.create 64;
     tick = 0;
     pre_access = None;
-    domain_lock = Atomic.make false;
+    domain_lock = Mutex.create ();
     domain_arenas = Hashtbl.create 8;
     stats = { hits = 0; uploads = 0; pageouts = 0; spills = 0; inflight_skips = 0 };
   }
@@ -323,8 +323,6 @@ let flush_field t (f : Field.t) =
   | Some e when e.device_dirty -> page_out t e
   | Some _ | None -> ()
 
-let flush_all t = Hashtbl.iter (fun _ e -> if e.device_dirty then page_out t e) t.entries
-
 let drop t (f : Field.t) =
   match Hashtbl.find_opt t.entries f.Field.id with
   | Some e -> evict t e
@@ -382,22 +380,14 @@ let release_arena t a =
 (* Per-domain arena slices.  When rank work executes concurrently on
    OCaml 5 domains (Multi's parallel rank sweep), each domain tracks
    the fields it materializes in its own slice: slice lookup/creation
-   is the only shared-table touch and is guarded by a tiny spinlock
-   (Mutex lives in the threads library on OCaml 4.x, where there are
-   no domains to contend anyway), while registration into a slice
-   stays lock-free because exactly one domain owns it.  Teardown
-   ([release_domain_slices]) is single-threaded — it evicts through
-   the cache like any arena release. *)
-
-let with_domain_lock t f =
-  let rec acquire () =
-    if not (Atomic.compare_and_set t.domain_lock false true) then acquire ()
-  in
-  acquire ();
-  Fun.protect ~finally:(fun () -> Atomic.set t.domain_lock false) f
+   is the only shared-table touch and is guarded by [domain_lock],
+   while registration into a slice stays lock-free because exactly one
+   domain owns it.  Teardown ([release_domain_slices]) is
+   single-threaded — it evicts through the cache like any arena
+   release. *)
 
 let domain_slice t ~worker =
-  with_domain_lock t (fun () ->
+  Mutex.protect t.domain_lock (fun () ->
       match Hashtbl.find_opt t.domain_arenas worker with
       | Some a -> a
       | None ->
@@ -411,11 +401,9 @@ let domain_slice t ~worker =
           Hashtbl.replace t.domain_arenas worker a;
           a)
 
-let domain_slices t = with_domain_lock t (fun () -> Hashtbl.length t.domain_arenas)
-
 let release_domain_slices t =
   let slices =
-    with_domain_lock t (fun () ->
+    Mutex.protect t.domain_lock (fun () ->
         let acc = Hashtbl.fold (fun _ a acc -> a :: acc) t.domain_arenas [] in
         Hashtbl.reset t.domain_arenas;
         acc)

@@ -69,8 +69,6 @@ val set_pre_access_hook : t -> (Qdp.Field.t -> unit) -> unit
 val flush_field : t -> Qdp.Field.t -> unit
 (** Page out if device-dirty (host access hooks call this). *)
 
-val flush_all : t -> unit
-
 val drop : t -> Qdp.Field.t -> unit
 (** Page out if dirty, then free the device allocation. *)
 
@@ -125,9 +123,6 @@ val domain_slice : t -> worker:int -> arena
     ["domain:<worker>"]), created on first use.  Safe to call from
     concurrent domains; the returned slice must only be registered
     into by its owning domain. *)
-
-val domain_slices : t -> int
-(** Number of domain slices created so far. *)
 
 val release_domain_slices : t -> unit
 (** {!release_arena} every domain slice and forget them.  Must be

@@ -256,31 +256,43 @@ EXIT:
           done
       | _ -> assert false)
 
-(* REPRO_VM_DOMAINS parsing: a malformed override (zero, negative,
-   non-numeric, empty) must fall back to the hardware count instead of
-   serializing or crashing every launch; a valid one is trimmed,
-   parsed and clamped; an explicit argument always wins. *)
-let test_host_domains_env () =
-  let avail = Gpusim.Vm_backend.available_domains () in
-  let orig = Sys.getenv_opt "REPRO_VM_DOMAINS" in
-  let with_env v = Unix.putenv "REPRO_VM_DOMAINS" v; Machine.host_domains () in
+(* Worker-count knob parsing: a malformed override (zero, negative,
+   non-numeric, empty) must fall back to the knob's default instead of
+   serializing or crashing every launch; a valid one is trimmed, parsed
+   and clamped; an explicit argument always wins.  [resolve] reads the
+   knob through its public entry point, given the explicit argument. *)
+let check_domains_env var ~default ~resolve =
+  let orig = Sys.getenv_opt var in
+  let with_env v = Unix.putenv var v; resolve None in
   Fun.protect
     ~finally:(fun () ->
-      (* putenv cannot unset: restore the original pin, or re-pin the
-         hardware count (the same value an unset variable resolves to). *)
-      Unix.putenv "REPRO_VM_DOMAINS"
-        (match orig with Some v -> v | None -> string_of_int avail))
+      (* putenv cannot unset: restore the original pin, or pin the
+         default (the same value an unset variable resolves to). *)
+      Unix.putenv var (match orig with Some v -> v | None -> string_of_int default))
     (fun () ->
       Alcotest.(check int) "valid" 3 (with_env "3");
       Alcotest.(check int) "trimmed" 8 (with_env " 8 ");
       Alcotest.(check int) "clamped to 64" 64 (with_env "999");
-      Alcotest.(check int) "zero falls back" avail (with_env "0");
-      Alcotest.(check int) "negative falls back" avail (with_env "-3");
-      Alcotest.(check int) "non-numeric falls back" avail (with_env "nope");
-      Alcotest.(check int) "empty falls back" avail (with_env "");
+      Alcotest.(check int) "zero falls back" default (with_env "0");
+      Alcotest.(check int) "negative falls back" default (with_env "-3");
+      Alcotest.(check int) "non-numeric falls back" default (with_env "nope");
+      Alcotest.(check int) "empty falls back" default (with_env "");
       Alcotest.(check int) "explicit argument wins" 2
-        (Unix.putenv "REPRO_VM_DOMAINS" "7";
-         Machine.host_domains ~vm_domains:2 ()))
+        (Unix.putenv var "7";
+         resolve (Some 2)))
+
+(* REPRO_VM_DOMAINS falls back to the hardware count. *)
+let test_host_domains_env () =
+  check_domains_env "REPRO_VM_DOMAINS" ~default:(Gpusim.Vm_backend.available_domains ())
+    ~resolve:(fun arg -> Machine.host_domains ?vm_domains:arg ())
+
+(* REPRO_MULTI_DOMAINS falls back to 1 (sequential rank sweep). *)
+let test_multi_domains_env () =
+  let module Multi = Qdpjit.Multi in
+  check_domains_env "REPRO_MULTI_DOMAINS" ~default:1 ~resolve:(fun arg ->
+      Multi.rank_domains
+        (Multi.create ?rank_domains:arg ~global_dims:[| 2; 2; 2; 2 |] ~rank_dims:[| 1; 1; 1; 1 |]
+           ()))
 
 (* REPRO_VM_SUPERINSN parsing: the executor switches off for exactly
    the off/0/none/disabled spellings REPRO_JIT_CACHE accepts, case- and
@@ -318,7 +330,10 @@ let () =
           Alcotest.test_case "clock and stats" `Quick test_clock_and_stats;
         ] );
       ( "machine",
-        [ Alcotest.test_case "REPRO_VM_DOMAINS parse" `Quick test_host_domains_env ] );
+        [
+          Alcotest.test_case "REPRO_VM_DOMAINS parse" `Quick test_host_domains_env;
+          Alcotest.test_case "REPRO_MULTI_DOMAINS parse" `Quick test_multi_domains_env;
+        ] );
       ( "timing",
         [
           Alcotest.test_case "monotone in volume" `Quick test_timing_monotone_in_volume;
