@@ -862,61 +862,19 @@ let vmperf () =
     (r.Solvers.Cg.iterations, field_checksum x, wall)
   in
   let results = List.map (fun w -> (w, run_kernels w, run_cg w)) workers in
-  (* Superinstruction A/B: re-time each kernel single-worker with the
-     SoA executor forced on and forced off, interleaved on one engine
-     (best of three timed blocks per strategy) so host noise hits both
-     strategies alike — these are the numbers the --min-dslash-speedup
-     CI gate holds, independent of the sweep timings above.  The two
-     strategies' checksums must bit-match each other and the sweep. *)
-  let soa_enabled = Gpusim.Vm.superinstructions_enabled () in
-  let ab_blocks = 3 in
-  let scalar_k, soa_k =
-    let both =
-      List.map
-        (fun (name, expr, shape) ->
-          let eng = Qdpjit.Engine.create ~vm_domains:1 ~fuse:false () in
-          let dest = Field.create shape geom in
-          for _ = 1 to 6 do
-            Qdpjit.Engine.eval eng dest expr
-          done;
-          ignore (Qdpjit.Engine.synchronize eng);
-          let time_block on =
-            Gpusim.Vm.set_superinstructions on;
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to reps do
-              Qdpjit.Engine.eval eng dest expr
-            done;
-            ignore (Qdpjit.Engine.synchronize eng);
-            (Unix.gettimeofday () -. t0) *. 1e3 /. float_of_int reps
-          in
-          let soa_ms = ref infinity and sc_ms = ref infinity in
-          for _ = 1 to ab_blocks do
-            soa_ms := min !soa_ms (time_block true);
-            sc_ms := min !sc_ms (time_block false)
-          done;
-          Gpusim.Vm.set_superinstructions true;
-          Qdpjit.Engine.eval eng dest expr;
-          ignore (Qdpjit.Engine.synchronize eng);
-          let ck_soa = field_checksum dest in
-          Gpusim.Vm.set_superinstructions false;
-          Qdpjit.Engine.eval eng dest expr;
-          ignore (Qdpjit.Engine.synchronize eng);
-          let ck_sc = field_checksum dest in
-          Gpusim.Vm.set_superinstructions soa_enabled;
-          ((name, !sc_ms, ck_sc), (name, !soa_ms, ck_soa)))
-        cases
-    in
-    (List.map fst both, List.map snd both)
+  (* The CPU evaluator is the reference every worker count's kernel
+     checksums must match bit-for-bit. *)
+  let cpu_k =
+    List.map
+      (fun (name, expr, shape) ->
+        let dest = Field.create shape geom in
+        Qdp.Eval_cpu.eval dest expr;
+        (name, field_checksum dest))
+      cases
   in
-  let scalar_it, scalar_ck, scalar_cg_wall =
-    Gpusim.Vm.set_superinstructions false;
-    let r = run_cg 1 in
-    Gpusim.Vm.set_superinstructions soa_enabled;
-    r
-  in
-  (* Decode-time superinstruction plans for the same six kernels: how
-     much of each body lives in fused spans, and the per-cta dispatch
-     units per scalar per-item dispatch. *)
+  (* Decode-time plans for the same six kernels: how much of each body
+     lives in fused spans, and the per-group dispatch units per
+     per-instruction dispatch. *)
   let soa_stats =
     List.map
       (fun (name, expr, shape) ->
@@ -949,21 +907,14 @@ let vmperf () =
   let cg_identical =
     List.for_all (fun (_, _, (it, ck, _)) -> it = base_it && ck = base_ck) results
   in
-  let scalar_identical =
-    List.map
-      (fun (name, _, ck0) ->
-        ( name,
-          List.exists (fun (n, _, ck) -> n = name && ck = ck0) scalar_k
-          && List.exists (fun (n, _, ck) -> n = name && ck = ck0) soa_k ))
-      base_k
-  in
-  let cg_scalar_identical = scalar_it = base_it && scalar_ck = base_ck in
-  Printf.printf "  %s back-end, %d domain(s) available; workers swept: %s\n"
+  let cpu_identical = List.map (fun (name, _, ck0) -> (name, List.assoc name cpu_k = ck0)) base_k in
+  Printf.printf "  %s back-end, %d domain(s) available; workers swept: %s; lane groups of %d\n"
     Gpusim.Vm_backend.runtime avail
-    (String.concat " " (List.map string_of_int workers));
+    (String.concat " " (List.map string_of_int workers))
+    Gpusim.Vm.group_lanes;
   Printf.printf "  %-10s" "kernel";
   List.iter (fun w -> Printf.printf " %7s" (Printf.sprintf "w=%d ms" w)) workers;
-  Printf.printf "  identical\n";
+  Printf.printf "  identical   cpu %7s %7s %10s\n" "spans" "units" "disp.ratio";
   List.iter
     (fun (name, _, _) ->
       Printf.printf "  %-10s" name;
@@ -972,47 +923,29 @@ let vmperf () =
           let _, ms, _ = List.find (fun (n, _, _) -> n = name) ks in
           Printf.printf " %7.2f" ms)
         results;
-      Printf.printf "  %b\n" (List.assoc name kernels_identical))
+      let st = List.assoc name soa_stats in
+      Printf.printf "  %9b %5b %7d %7d %10.4f\n" (List.assoc name kernels_identical)
+        (List.assoc name cpu_identical) st.Gpusim.Vm.spans st.Gpusim.Vm.units
+        (dispatch_ratio st))
     base_k;
   Printf.printf "  %-10s" (Printf.sprintf "cg(%d it)" base_it);
   List.iter (fun (_, _, (_, _, wall)) -> Printf.printf " %7.0f" (wall *. 1e3)) results;
-  Printf.printf "  %b\n" cg_identical;
-  Printf.printf "\n  superinstructions %s (w=1 A/B vs scalar interpreter)\n"
-    (if soa_enabled then "ON" else "OFF (REPRO_VM_SUPERINSN)");
-  Printf.printf "  %-10s %9s %9s %8s %7s %7s %10s  identical\n" "kernel" "soa ms"
-    "scalar ms" "speedup" "spans" "units" "disp.ratio";
-  List.iter
-    (fun (name, _, _) ->
-      let _, soa_ms, _ = List.find (fun (n, _, _) -> n = name) soa_k in
-      let _, sc_ms, _ = List.find (fun (n, _, _) -> n = name) scalar_k in
-      let st = List.assoc name soa_stats in
-      Printf.printf "  %-10s %9.2f %9.2f %7.2fx %7d %7d %10.4f  %b\n" name soa_ms sc_ms
-        (sc_ms /. soa_ms) st.Gpusim.Vm.spans st.Gpusim.Vm.units (dispatch_ratio st)
-        (List.assoc name scalar_identical))
-    base_k;
-  Printf.printf "  %-10s %9.0f %9.0f %7.2fx %36b\n"
-    (Printf.sprintf "cg(%d it)" base_it)
-    (let _, _, (_, _, wall) = List.hd results in
-     wall *. 1e3)
-    (scalar_cg_wall *. 1e3)
-    (let _, _, (_, _, wall) = List.hd results in
-     scalar_cg_wall /. wall)
-    cg_scalar_identical;
+  Printf.printf "  %9b\n" cg_identical;
   if not (cg_identical && List.for_all snd kernels_identical) then
     failwith "vmperf: results not bit-identical across worker counts";
-  if not (cg_scalar_identical && List.for_all snd scalar_identical) then
-    failwith "vmperf: superinstruction results not bit-identical to scalar interpreter";
+  if not (List.for_all snd cpu_identical) then
+    failwith "vmperf: kernel results not bit-identical to the CPU evaluator";
   let oc = open_out "BENCH_vmperf.json" in
   let flist fmt xs = String.concat ", " (List.map (Printf.sprintf fmt) xs) in
   Printf.fprintf oc
     "{\n\
     \  \"runtime\": \"%s\", \"available_domains\": %d, \"degraded\": %b, \"geometry\": \"%s\",\n\
-    \  \"superinsn_enabled\": %b,\n\
+    \  \"group_lanes\": %d,\n\
     \  \"workers\": [%s],\n\
     \  \"kernels\": [\n"
     Gpusim.Vm_backend.runtime avail degraded
     (String.concat "x" (Array.to_list (Array.map string_of_int (Geometry.dims geom))))
-    soa_enabled
+    Gpusim.Vm.group_lanes
     (flist "%d" (List.map (fun (w, _, _) -> w) results));
   List.iteri
     (fun i (name, _, _) ->
@@ -1023,18 +956,14 @@ let vmperf () =
             ms)
           results
       in
-      let _, scalar_ms, _ = List.find (fun (n, _, _) -> n = name) scalar_k in
-      let _, soa_ms, _ = List.find (fun (n, _, _) -> n = name) soa_k in
       let st = List.assoc name soa_stats in
       Printf.fprintf oc
-        "    {\"name\": \"%s\", \"wall_ms\": [%s], \"bit_identical\": %b, \"soa_ms\": %.4f, \
-         \"scalar_ms\": %.4f, \"scalar_bit_identical\": %b, \"superinsns\": %d, \
-         \"fused_units\": %d, \"covered_instrs\": %d, \"decoded_instrs\": %d, \
-         \"dispatch_ratio\": %.4f}%s\n"
+        "    {\"name\": \"%s\", \"wall_ms\": [%s], \"bit_identical\": %b, \
+         \"cpu_bit_identical\": %b, \"superinsns\": %d, \"fused_units\": %d, \
+         \"covered_instrs\": %d, \"decoded_instrs\": %d, \"dispatch_ratio\": %.4f}%s\n"
         name (flist "%.4f" walls)
         (List.assoc name kernels_identical)
-        soa_ms scalar_ms
-        (List.assoc name scalar_identical)
+        (List.assoc name cpu_identical)
         st.Gpusim.Vm.spans st.Gpusim.Vm.units st.Gpusim.Vm.covered st.Gpusim.Vm.total
         (dispatch_ratio st)
         (if i = List.length base_k - 1 then "" else ","))
@@ -1042,11 +971,11 @@ let vmperf () =
   Printf.fprintf oc
     "  ],\n\
     \  \"cg\": {\"iterations\": %d, \"max_iter\": %d, \"wall_s\": [%s], \"bit_identical\": \
-     %b, \"scalar_wall_s\": %.4f, \"scalar_bit_identical\": %b}\n\
+     %b}\n\
      }\n"
     base_it max_iter
     (flist "%.4f" (List.map (fun (_, _, (_, _, w)) -> w) results))
-    cg_identical scalar_cg_wall cg_scalar_identical;
+    cg_identical;
   close_out oc;
   Printf.printf "  wrote BENCH_vmperf.json\n"
 

@@ -1181,6 +1181,8 @@ let build_reduce_kernel () =
   Emitter.emit e Ret;
   (Emitter.finish e, e)
 
+let reduce_kernel () = fst (build_reduce_kernel ())
+
 let reduce_entry t =
   match t.reduce_kernel with
   | Some entry -> entry

@@ -196,6 +196,11 @@ val inner : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> Qdp.Expr.t -> float * flo
 val sum_real : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> float
 val sum_components : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> float array
 
+val reduce_kernel : unit -> Ptx.Types.kernel
+(** The radix-8 fold kernel ([qdpjit_reduce8_f64]) every reduction chains
+    after its payload, as emitted, before the middle-end runs (exposed
+    for tests). *)
+
 val ntable : t -> Layout.Geometry.t -> dim:int -> dir:int -> Gpusim.Buffer.t
 (** The device neighbour table for a shift direction (built and uploaded
     once per geometry/direction). *)

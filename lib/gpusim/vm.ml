@@ -1,16 +1,18 @@
 (** Pre-decoded executable form of a PTX kernel and its multicore
-    interpreter.
+    executor.
 
     The back half of the simulated driver JIT.  [compile] lowers a
-    validated kernel into a flat program: int-coded opcodes with operand
+    validated kernel into a flat program: named opcodes with operand
     *indices* in four parallel arrays, labels compacted away (branch
     targets are instruction indices), and immediates promoted into
     constant-pool slots appended to the register files — so the hot loop
     is a jump table over plain array reads, with no closures and no
-    per-operand dispatch.  Registers live in three flat files per worker
-    (floats: f32 then f64; ints: s32/u32/s64/u64 concatenated;
-    predicates), allocated once per worker slot on the program and
-    reused across threads and launches.
+    per-operand dispatch.  Every program also decodes to a plan (see
+    [plan]) for the one executor: each cta runs in consecutive groups of
+    [group_lanes] lanes, lock-step over structure-of-arrays register
+    rows (floats: f32 then f64; ints: s32/u32/s64/u64 concatenated;
+    predicates), and forward branches are predicated — lanes that take
+    a branch park at its target and rejoin the active set there.
 
     [run_grid] executes the grid either sequentially or split across
     {!Vm_backend} workers in whole-cta chunks.  A decode-time provenance
@@ -20,12 +22,12 @@
     stay within the radix-8 reduction-tail contract — may split, because
     chunks then touch disjoint output ranges and the result is
     bit-identical to the sequential sweep.  Anything else (e.g. the
-    in-place [p = shift p] gather) runs sequentially.  Chunk boundaries
-    are aligned to multiples of 8 work items so a reduction tail always
-    aggregates partials its own chunk wrote.  Faults are recorded per
-    worker and the lowest (ctaid, tid) fault is re-raised on the
-    launching thread, enriched with kernel name and thread coordinates,
-    so error reporting stays deterministic.
+    in-place [p = shift p] gather) runs sequentially, in groups of one
+    lane.  Chunk boundaries are aligned to multiples of 8 work items so
+    a reduction tail always aggregates partials its own chunk wrote.
+    Faults are recorded per worker and the lowest (ctaid, tid) fault is
+    re-raised on the launching thread, enriched with kernel name and
+    thread coordinates, so error reporting stays deterministic.
 
     Modeling note: f32 register arithmetic is performed in double and
     rounded only when stored through an f32 buffer — the same convention
@@ -44,31 +46,46 @@ let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 open Ptx.Types
 
 (* ------------------------------------------------------------------ *)
-(* Opcodes.  The interpreter matches on these literal values; keep the
-   two tables in sync.
+(* Opcodes.  Constant constructors are immediates, so a [match] on an
+   [op] still compiles to a jump table.  Operands live in [ca]..[cd]:
 
-    0 ret
-    1 add.f    f[a] <- f[b] +. f[c]        7 add.i    i[a] <- i[b] + i[c]
-    2 sub.f                                8 sub.i
-    3 mul.f                                9 mul.i
-    4 div.f                               10 div.i  (faults on 0)
-    5 fma.f    f[a] <- f[b]*f[c] +. f[d]  11 fma.i
-    6 neg.f                               12 shl.i  i[a] <- i[b] lsl c (literal)
-                                          13 neg.i
-   14 mov.f    f[a] <- f[b]               15 mov.i
-   16 cvt.f32  f[a] <- round32 f[b]       17 cvt.i2f  18 cvt.f2i
-   19..24 setp.f  p[a] <- f[b] cmp f[c]   (eq ne lt le gt ge)
-   25..30 setp.i  p[a] <- i[b] cmp i[c]
-   31 bra pc<-a   32 bra.pred  if p[a] then pc<-b
-   33 tid  34 ntid  35 ctaid  36 nctaid   (i[a] <- sreg)
-   37 ld.param.ptr  38 ld.param.int  39 ld.param.f   (param slot b)
-   40 ld.g.f32  41 ld.g.f64  42 ld.g.i32  (addr i[b]+c)
-   43 st.g.f32  44 st.g.f64  45 st.g.i32  (addr i[a]+b, src reg c)
-   46 call.f64  f[a] <- fns[c] f[b]       47 call.f32 (rounds result)
-   48 ld.g.f16  f[a] <- decode16 mem      49 st.g.f16  mem <- encode16 f[c]
-      (binary16 payloads decode exactly on load; stores round to nearest,
-      ties to even — the same convention [Field.raw_set] uses, so CPU and
-      VM runs of an f16 kernel stay bit-identical) *)
+   Halt (ret)
+   Fadd Fsub Fmul Fdiv    f[a] <- f[b] op f[c]
+   Ffma                   f[a] <- f[b]*f[c] +. f[d]     Fneg  f[a] <- -f[b]
+   Iadd Isub Imul Idiv    i[a] <- i[b] op i[c]          (Idiv faults on 0)
+   Ifma                   i[a] <- i[b]*i[c] + i[d]      Ineg  i[a] <- -i[b]
+   Ishl                   i[a] <- i[b] lsl c (literal)
+   Fmov Imov              copy b to a
+   Fround32 Itof Ftoi     cvt.f32 (round to single), int->float, float->int
+   Fset_* Iset_*          p[a] <- f/i[b] cmp f/i[c]     (eq ne lt le gt ge)
+   Jmp                    pc <- a
+   Jmp_if                 if p[a] then pc <- b
+   Rd_tid Rd_ntid Rd_ctaid Rd_nctaid                    i[a] <- sreg
+   Param_ptr Param_int Param_float                      a <- param slot b
+   Ld_f32 Ld_f64 Ld_i32 Ld_f16    a <- mem[i[b] + c]
+   St_f32 St_f64 St_i32 St_f16    mem[i[a] + b] <- reg c
+   Call_f64 Call_f32      f[a] <- fns[c] f[b]           (f32 rounds the result)
+
+   binary16 payloads decode exactly on load; stores round to nearest,
+   ties to even — the same convention [Field.raw_set] uses, so CPU and
+   VM runs of an f16 kernel stay bit-identical. *)
+
+type op =
+  | Halt
+  | Fadd | Fsub | Fmul | Fdiv | Ffma | Fneg
+  | Iadd | Isub | Imul | Idiv | Ifma | Ishl | Ineg
+  | Fmov | Imov | Fround32 | Itof | Ftoi
+  | Fset_eq | Fset_ne | Fset_lt | Fset_le | Fset_gt | Fset_ge
+  | Iset_eq | Iset_ne | Iset_lt | Iset_le | Iset_gt | Iset_ge
+  | Jmp | Jmp_if
+  | Rd_tid | Rd_ntid | Rd_ctaid | Rd_nctaid
+  | Param_ptr | Param_int | Param_float
+  | Ld_f32 | Ld_f64 | Ld_i32 | St_f32 | St_f64 | St_i32
+  | Call_f64 | Call_f32 | Ld_f16 | St_f16
+
+let is_ctrl = function Halt | Jmp | Jmp_if -> true | _ -> false
+let is_store = function St_f32 | St_f64 | St_i32 | St_f16 -> true | _ -> false
+let is_mem o = is_store o || match o with Ld_f32 | Ld_f64 | Ld_i32 | Ld_f16 -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Static provenance of global accesses, used to decide whether a launch
@@ -91,78 +108,90 @@ type access = {
   a_store : bool;
 }
 
-type wctx = { wf : float array; wi : int array; wp : bool array }
-
 (* ------------------------------------------------------------------ *)
-(* Superinstruction plan: decode-time structure for the SoA executor.
+(* Execution plan: decode-time structure for the executor.
 
-   A program is *eligible* when its control flow is the canonical
-   pointwise shape the generators emit: straight-line code whose only
-   branches are forward [bra.pred] guards that jump directly to a [ret]
-   (the "lane exit" idiom — bounds guards, subset guards).  For such a
-   program textual order is execution order on every lane's path, so
-   the maximal runs of non-control opcodes ("spans") can be executed as
-   superinstructions over flat unboxed register rows (register [r]'s
-   value for lane [l] lives at [r * cap + l]).
+   A *join point* is the target of a branch that does not land on a
+   [ret] (branches to [ret] just retire their lanes).  A *span* is a
+   maximal run of non-control instructions that no join point
+   interrupts: [span_end.(k)] is the index of the next control
+   instruction ([ret]/[bra]/[bra.pred]) or join point after [k], so a
+   span starting at a non-control [k] covers [k, span_end.(k)).
+   [join.(k)] marks the join points.
 
    Each span is further partitioned into fused dispatch *units*:
 
-   - a *chain* (kind 0): a maximal mixed run of lane-local ALU work —
-     float and integer arithmetic, address mad/shl/add chains, cvt,
-     setp, mov, sreg and parameter reads, math calls.  One fault scope
-     and one dispatch per chain; the per-instruction inner loops walk
-     the lanes in [lane_block]-wide unrolled blocks on the dense fast
-     path.  Only lane-uniform faults can occur inside a chain
-     (parameter-class mismatches), so a single [try] per unit replaces
-     the old per-instruction one.
-   - a *memory-terminated chain* (kind 1): a chain whose last
-     instruction is a global load/store.  The terminator executes
-     column-resident: lane addresses are snapshotted into a scratch
-     column, the buffer is resolved *once* for the whole cta, and the
-     gather/scatter runs as a tight per-lane loop, falling back to the
-     per-lane slow path (bit-identical fault reporting) on any
-     cross-buffer divergence.
-   - an *island* (kind 2): a single per-lane-faultable non-memory op
-     (integer division), kept under its own per-lane fault handler.
+   - a *chain*: a maximal mixed run of lane-local ALU work — float and
+     integer arithmetic, address mad/shl/add chains, cvt, setp, mov,
+     sreg and parameter reads, math calls.  One fault scope and one
+     dispatch per chain; the per-instruction inner loops walk the lanes
+     in [lane_block]-wide unrolled blocks on the dense fast path.  Only
+     lane-uniform faults can occur inside a chain (parameter-class
+     mismatches), so a single [try] per unit suffices.
+   - a *memory-terminated chain*: a chain whose last instruction is a
+     global load/store.  The terminator executes column-resident: lane
+     addresses are snapshotted into a scratch column, the buffer is
+     resolved *once* for the whole group, and the gather/scatter runs as
+     a tight per-lane loop, falling back to the per-lane slow path
+     (bit-identical fault reporting) on any cross-buffer divergence.
+   - an *island*: a single per-lane-faultable non-memory op (integer
+     division), kept under its own per-lane fault handler.
 
-   [span_end.(k)] is the index of the next control instruction at or
-   after [k] ([ret]/[bra]/[bra.pred]); a span starting at a non-control
-   [k] covers [k, span_end.(k)).  [u_end.(s)]/[u_kind.(s)] are valid at
-   unit-start indices [s] and give the unit's end (exclusive) and kind.
-   The counters summarize the plan for the dispatch-rate metric:
+   [u_end.(s)]/[u_kind.(s)] are valid at unit-start indices [s] and give
+   the unit's end (exclusive) and kind.  [width] is the lane-group width
+   the program runs at when its launch is [parallel_ok]: [group_lanes],
+   or 1 when some branch goes backward (a loop), because lock-step
+   predication needs every lane's path to move forward through the
+   text.  The counters summarize the plan for the dispatch-rate metric:
    [s_spans] spans containing [s_covered] instructions in [s_units]
    fused dispatch units. *)
 
-type soa_plan = {
+type ukind = Chain | Mem_chain | Island
+
+type plan = {
   span_end : int array;
+  join : bool array;
   u_end : int array;
-  u_kind : int array;
+  u_kind : ukind array;
+  width : int;
   s_spans : int;
   s_units : int;
   s_covered : int;
 }
 
-(* Per-worker SoA register files: one row of [cap] lanes per register,
-   constant pools broadcast across their rows once at allocation.
-   [act] holds the ids of the lanes still running (faulted lanes and
-   lanes that took an exit branch are removed).  [sa] is the address
-   scratch column for memory-terminated units: lane addresses are
-   snapshotted there before the gather/scatter runs, which makes the
-   column pass restartable (the slow fallback re-reads the same
-   addresses even when a load's destination aliases its address
-   register). *)
+(* Lanes per group.  Register rows are [group_lanes] wide whatever the
+   launch block, so a program's per-worker register file is bounded by
+   its register count alone; EXPERIMENTS.md "Lane-group width" has the
+   vmperf sweep behind the value. *)
+let group_lanes = 64
+
+(* Per-worker register rows: one row of [group_lanes] lanes per
+   register, constant pools broadcast across their rows once at
+   allocation.
+   [act] holds the sorted ids of the lanes running at the current pc
+   (faulted lanes, lanes that took an exit branch and parked lanes are
+   removed).  [park.(l)] is the join point lane [l] waits at, or -1 (a
+   group only ends once every parked lane has merged, so [park] is all
+   -1 between groups);
+   [mrg] is the scratch the join merge builds the new active set in.
+   [sa] is the address scratch column for memory-terminated units:
+   lane addresses are snapshotted there before the gather/scatter runs,
+   which makes the column pass restartable (the slow fallback re-reads
+   the same addresses even when a load's destination aliases its
+   address register). *)
 type soa_ctx = {
-  mutable sf : float array;
-  mutable si : int array;
-  mutable sp : bool array;
-  mutable act : int array;
-  mutable sa : int array;
-  mutable cap : int;
+  sf : float array;
+  si : int array;
+  sp : bool array;
+  act : int array;
+  park : int array;
+  mrg : int array;
+  sa : int array;
 }
 
 type program = {
   kernel : kernel;
-  co : int array;  (** opcodes *)
+  co : op array;  (** opcodes *)
   ca : int array;
   cb : int array;
   cc : int array;
@@ -174,37 +203,15 @@ type program = {
   ipool : int array;  (** int constants, installed at [nireg..] *)
   fns : (float -> float) array;  (** call targets *)
   accesses : access array;
-  soa : soa_plan option;  (** superinstruction plan; [None] = scalar only *)
-  mutable slots : wctx array;  (** per-worker register files, reused *)
-  mutable soa_slots : soa_ctx array;  (** per-worker SoA register rows *)
+  plan : plan;
+  mutable soa_slots : soa_ctx array;  (** per-worker register rows, reused *)
 }
-
-(* Runtime escape hatch: REPRO_VM_SUPERINSN=off forces every launch
-   back onto the scalar interpreter.  The recognized off-spellings are
-   exactly the ones the REPRO_JIT_CACHE override accepts —
-   off/0/none/disabled, case-insensitive, whitespace-trimmed — and
-   anything else (including unset) leaves the executor on.  The
-   programmatic setter lets the bench time both strategies in one
-   process. *)
-let superinsn_of_env = function
-  | None -> true
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "off" | "0" | "none" | "disabled" -> false
-      | _ -> true)
-
-let superinsn_on = ref (superinsn_of_env (Sys.getenv_opt "REPRO_VM_SUPERINSN"))
-
-let set_superinstructions b = superinsn_on := b
-let superinstructions_enabled () = !superinsn_on
 
 type soa_stats = { spans : int; units : int; covered : int; total : int }
 
 let superinsn_stats p =
-  let total = Array.length p.co in
-  match p.soa with
-  | None -> { spans = 0; units = 0; covered = 0; total }
-  | Some s -> { spans = s.s_spans; units = s.s_units; covered = s.s_covered; total }
+  let s = p.plan in
+  { spans = s.s_spans; units = s.s_units; covered = s.s_covered; total = Array.length p.co }
 
 let max_reg_ids body =
   let tbl = Hashtbl.create 8 in
@@ -353,82 +360,86 @@ let analyze (k : kernel) =
   Array.of_list (List.rev !accs)
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction eligibility.  Accepts exactly the straight-line +
-   exit-guard shape: the program ends in [ret], contains no
-   unconditional branches, and every [bra.pred] jumps forward to a
-   [ret].  That shape makes textual order the execution order of every
-   lane, which is what (a) lets spans run lock-step across lanes and
-   (b) upgrades the validator's textual def-before-use check into a
-   path-exact one, so SoA register rows never need zeroing between
-   ctas.  Reduction tails (their guarded-load diamonds and aggregate
-   joins) are rejected and keep the scalar interpreter. *)
+(* Planning.  Every program gets a plan.  A branch whose target is a
+   [ret] (or the end of the text, which retires a lane the same way)
+   retires the lanes that take it; any other target is a join point and
+   ends the span before it.  A branch to a target at or before itself
+   closes a loop, so the program runs in groups of one lane.  Units
+   partition each span: everything except integer division fuses into
+   mixed chains; a global load/store terminates the chain it feeds
+   (absorbing its address arithmetic) as a memory-terminated unit, and
+   div.i sits in a one-instruction island under its own per-lane fault
+   handler. *)
 
-let plan_soa co cb ninstr =
-  if ninstr = 0 || co.(ninstr - 1) <> 0 then None
-  else begin
-    let ok = ref true in
-    for k = 0 to ninstr - 1 do
-      match co.(k) with
-      | 31 -> ok := false
-      | 32 -> if cb.(k) <= k || co.(cb.(k)) <> 0 then ok := false
-      | _ -> ()
-    done;
-    if not !ok then None
+let is_halt = function Halt -> true | _ -> false
+let is_idiv = function Idiv -> true | _ -> false
+let exits co t = t >= Array.length co || is_halt co.(t)
+
+let plan co ca cb =
+  let n = Array.length co in
+  let join = Array.make n false and width = ref group_lanes in
+  Array.iteri
+    (fun k o ->
+      let target t =
+        if t <= k then width := 1;
+        if not (exits co t) then join.(t) <- true
+      in
+      match o with Jmp -> target ca.(k) | Jmp_if -> target cb.(k) | _ -> ())
+    co;
+  let span_end = Array.make n n in
+  let next = ref n in
+  for k = n - 1 downto 0 do
+    span_end.(k) <- !next;
+    if is_ctrl co.(k) || join.(k) then next := k
+  done;
+  let u_end = Array.make n 0 and u_kind = Array.make n Chain in
+  let spans = ref 0 and units = ref 0 and covered = ref 0 in
+  let k = ref 0 in
+  while !k < n do
+    if is_ctrl co.(!k) then incr k
     else begin
-      let span_end = Array.make ninstr 0 in
-      let next_ctrl = ref ninstr in
-      for k = ninstr - 1 downto 0 do
-        span_end.(k) <- !next_ctrl;
-        match co.(k) with 0 | 31 | 32 -> next_ctrl := k | _ -> ()
+      let e = span_end.(!k) in
+      incr spans;
+      covered := !covered + (e - !k);
+      let j = ref !k in
+      while !j < e do
+        let s = !j in
+        if is_idiv co.(s) then begin
+          u_end.(s) <- s + 1;
+          u_kind.(s) <- Island;
+          j := s + 1
+        end
+        else begin
+          let q = ref s and stop = ref false and kind = ref Chain in
+          while (not !stop) && !q < e do
+            let o = co.(!q) in
+            if is_idiv o then stop := true
+            else if is_mem o then begin
+              incr q;
+              kind := Mem_chain;
+              stop := true
+            end
+            else incr q
+          done;
+          u_end.(s) <- !q;
+          u_kind.(s) <- !kind;
+          j := !q
+        end;
+        incr units
       done;
-      (* Unit partition.  Within a span, everything except integer
-         division fuses into mixed chains; a global load/store
-         terminates the chain it feeds (absorbing its address
-         arithmetic) as a memory-terminated unit, and div.i sits in a
-         one-instruction island under its own per-lane fault
-         handler. *)
-      let is_mem o = (o >= 40 && o <= 45) || o = 48 || o = 49 in
-      let u_end = Array.make ninstr 0 and u_kind = Array.make ninstr 0 in
-      let spans = ref 0 and units = ref 0 and covered = ref 0 in
-      let k = ref 0 in
-      while !k < ninstr do
-        match co.(!k) with
-        | 0 | 31 | 32 -> incr k
-        | _ ->
-            let e = span_end.(!k) in
-            incr spans;
-            covered := !covered + (e - !k);
-            let j = ref !k in
-            while !j < e do
-              let s = !j in
-              if co.(s) = 10 then begin
-                u_end.(s) <- s + 1;
-                u_kind.(s) <- 2;
-                j := s + 1
-              end
-              else begin
-                let q = ref s and stop = ref false and kind = ref 0 in
-                while (not !stop) && !q < e do
-                  let o = co.(!q) in
-                  if o = 10 then stop := true
-                  else if is_mem o then begin
-                    incr q;
-                    kind := 1;
-                    stop := true
-                  end
-                  else incr q
-                done;
-                u_end.(s) <- !q;
-                u_kind.(s) <- !kind;
-                j := !q
-              end;
-              incr units
-            done;
-            k := e
-      done;
-      Some { span_end; u_end; u_kind; s_spans = !spans; s_units = !units; s_covered = !covered }
+      k := e
     end
-  end
+  done;
+  {
+    span_end;
+    join;
+    u_end;
+    u_kind;
+    width = !width;
+    s_spans = !spans;
+    s_units = !units;
+    s_covered = !covered;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Decode. *)
@@ -507,7 +518,7 @@ let compile (kernel : kernel) =
     | None -> fault "undefined label %S" l
   in
   let sz = max 1 ninstr in
-  let co = Array.make sz 0
+  let co = Array.make sz Halt
   and ca = Array.make sz 0
   and cb = Array.make sz 0
   and cc = Array.make sz 0
@@ -532,76 +543,101 @@ let compile (kernel : kernel) =
     (fun instr ->
       match instr with
       | Label _ -> ()
-      | Ret -> emit 0 0 0 0 0
+      | Ret -> emit Halt 0 0 0 0
       | Add { dtype; dst; a; b } ->
-          if is_float dtype then emit 1 (freg dst) (fop a) (fop b) 0
-          else emit 7 (ireg dst) (iop a) (iop b) 0
+          if is_float dtype then emit Fadd (freg dst) (fop a) (fop b) 0
+          else emit Iadd (ireg dst) (iop a) (iop b) 0
       | Sub { dtype; dst; a; b } ->
-          if is_float dtype then emit 2 (freg dst) (fop a) (fop b) 0
-          else emit 8 (ireg dst) (iop a) (iop b) 0
+          if is_float dtype then emit Fsub (freg dst) (fop a) (fop b) 0
+          else emit Isub (ireg dst) (iop a) (iop b) 0
       | Mul { dtype; dst; a; b } ->
-          if is_float dtype then emit 3 (freg dst) (fop a) (fop b) 0
-          else emit 9 (ireg dst) (iop a) (iop b) 0
+          if is_float dtype then emit Fmul (freg dst) (fop a) (fop b) 0
+          else emit Imul (ireg dst) (iop a) (iop b) 0
       | Div { dtype; dst; a; b } ->
-          if is_float dtype then emit 4 (freg dst) (fop a) (fop b) 0
-          else emit 10 (ireg dst) (iop a) (iop b) 0
+          if is_float dtype then emit Fdiv (freg dst) (fop a) (fop b) 0
+          else emit Idiv (ireg dst) (iop a) (iop b) 0
       | Fma { dtype; dst; a; b; c } ->
-          if is_float dtype then emit 5 (freg dst) (fop a) (fop b) (fop c)
-          else emit 11 (ireg dst) (iop a) (iop b) (iop c)
+          if is_float dtype then emit Ffma (freg dst) (fop a) (fop b) (fop c)
+          else emit Ifma (ireg dst) (iop a) (iop b) (iop c)
       | Neg { dtype; dst; a } ->
-          if is_float dtype then emit 6 (freg dst) (fop a) 0 0 else emit 13 (ireg dst) (iop a) 0 0
+          if is_float dtype then emit Fneg (freg dst) (fop a) 0 0 else emit Ineg (ireg dst) (iop a) 0 0
       | Shl { dtype; dst; a; amount } ->
           if is_float dtype then fault "shl on float registers"
-          else emit 12 (ireg dst) (iop a) amount 0
+          else emit Ishl (ireg dst) (iop a) amount 0
       | Mov { dst; src } -> (
           match dst.rtype with
-          | F32 | F64 -> emit 14 (freg dst) (fop src) 0 0
-          | S32 | U32 | S64 | U64 -> emit 15 (ireg dst) (iop src) 0 0
+          | F32 | F64 -> emit Fmov (freg dst) (fop src) 0 0
+          | S32 | U32 | S64 | U64 -> emit Imov (ireg dst) (iop src) 0 0
           | Pred -> fault "mov on predicates unsupported")
       | Cvt { dst; src } -> (
           match (is_float dst.rtype, is_float src.rtype) with
           | true, true ->
-              if dst.rtype = F32 then emit 16 (freg dst) (freg src) 0 0
-              else emit 14 (freg dst) (freg src) 0 0
-          | true, false -> emit 17 (freg dst) (ireg src) 0 0
-          | false, true -> emit 18 (ireg dst) (freg src) 0 0
-          | false, false -> emit 15 (ireg dst) (ireg src) 0 0)
+              if dst.rtype = F32 then emit Fround32 (freg dst) (freg src) 0 0
+              else emit Fmov (freg dst) (freg src) 0 0
+          | true, false -> emit Itof (freg dst) (ireg src) 0 0
+          | false, true -> emit Ftoi (ireg dst) (freg src) 0 0
+          | false, false -> emit Imov (ireg dst) (ireg src) 0 0)
       | Setp { cmp; dtype; dst; a; b } ->
-          let off = match cmp with Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5 in
-          if is_float dtype then emit (19 + off) dst.id (fop a) (fop b) 0
-          else emit (25 + off) dst.id (iop a) (iop b) 0
+          if is_float dtype then
+            let o =
+              match cmp with
+              | Eq -> Fset_eq
+              | Ne -> Fset_ne
+              | Lt -> Fset_lt
+              | Le -> Fset_le
+              | Gt -> Fset_gt
+              | Ge -> Fset_ge
+            in
+            emit o dst.id (fop a) (fop b) 0
+          else
+            let o =
+              match cmp with
+              | Eq -> Iset_eq
+              | Ne -> Iset_ne
+              | Lt -> Iset_lt
+              | Le -> Iset_le
+              | Gt -> Iset_gt
+              | Ge -> Iset_ge
+            in
+            emit o dst.id (iop a) (iop b) 0
       | Bra { label; pred } -> (
           let target = label_pos label in
           match pred with
-          | None -> emit 31 target 0 0 0
-          | Some p -> emit 32 p.id target 0 0)
+          | None -> emit Jmp target 0 0 0
+          | Some p -> emit Jmp_if p.id target 0 0)
       | Mov_sreg { dst; src } ->
-          let code = match src with Tid_x -> 33 | Ntid_x -> 34 | Ctaid_x -> 35 | Nctaid_x -> 36 in
-          emit code (ireg dst) 0 0 0
+          let o =
+            match src with
+            | Tid_x -> Rd_tid
+            | Ntid_x -> Rd_ntid
+            | Ctaid_x -> Rd_ctaid
+            | Nctaid_x -> Rd_nctaid
+          in
+          emit o (ireg dst) 0 0 0
       | Ld_param { dst; param_index } -> (
           match dst.rtype with
-          | U64 -> emit 37 (ireg dst) param_index 0 0
-          | S32 | U32 -> emit 38 (ireg dst) param_index 0 0
-          | F32 | F64 -> emit 39 (freg dst) param_index 0 0
+          | U64 -> emit Param_ptr (ireg dst) param_index 0 0
+          | S32 | U32 -> emit Param_int (ireg dst) param_index 0 0
+          | F32 | F64 -> emit Param_float (freg dst) param_index 0 0
           | S64 | Pred -> fault "unsupported ld.param class")
       | Ld_global { dtype; dst; addr; offset } -> (
           match dtype with
-          | F32 -> emit 40 (freg dst) (ireg addr) offset 0
-          | F64 -> emit 41 (freg dst) (ireg addr) offset 0
-          | S32 | U32 -> emit 42 (ireg dst) (ireg addr) offset 0
+          | F32 -> emit Ld_f32 (freg dst) (ireg addr) offset 0
+          | F64 -> emit Ld_f64 (freg dst) (ireg addr) offset 0
+          | S32 | U32 -> emit Ld_i32 (ireg dst) (ireg addr) offset 0
           | S64 | U64 | Pred -> fault "unsupported ld.global class")
       | St_global { dtype; addr; offset; src } -> (
           match dtype with
-          | F32 -> emit 43 (ireg addr) offset (fop src) 0
-          | F64 -> emit 44 (ireg addr) offset (fop src) 0
-          | S32 | U32 -> emit 45 (ireg addr) offset (iop src) 0
+          | F32 -> emit St_f32 (ireg addr) offset (fop src) 0
+          | F64 -> emit St_f64 (ireg addr) offset (fop src) 0
+          | S32 | U32 -> emit St_i32 (ireg addr) offset (iop src) 0
           | S64 | U64 | Pred -> fault "unsupported st.global class")
-      | Ld_global_f16 { dst; addr; offset } -> emit 48 (freg dst) (ireg addr) offset 0
-      | St_global_f16 { addr; offset; src } -> emit 49 (ireg addr) offset (fop src) 0
+      | Ld_global_f16 { dst; addr; offset } -> emit Ld_f16 (freg dst) (ireg addr) offset 0
+      | St_global_f16 { addr; offset; src } -> emit St_f16 (ireg addr) offset (fop src) 0
       | Call { func; ret; arg } ->
           let fi = addfn (lookup_math func) in
-          if ret.rtype = F32 then emit 47 (freg ret) (freg arg) fi 0
-          else emit 46 (freg ret) (freg arg) fi 0)
+          if ret.rtype = F32 then emit Call_f32 (freg ret) (freg arg) fi 0
+          else emit Call_f64 (freg ret) (freg arg) fi 0)
     body;
   {
     kernel;
@@ -617,30 +653,29 @@ let compile (kernel : kernel) =
     ipool = Array.of_list (List.rev !ipool);
     fns = Array.of_list (List.rev !fns);
     accesses = analyze kernel;
-    soa = plan_soa co cb ninstr;
-    slots = [||];
+    plan = plan co ca cb;
     soa_slots = [||];
   }
 
 (* ------------------------------------------------------------------ *)
 (* Serialization.  A program is plain data except for two fields: [fns]
-   holds math-subroutine closures and [slots] holds worker scratch.
+   holds math-subroutine closures and [soa_slots] holds worker scratch.
    Both are deterministic functions of the rest — [compile] fills [fns]
-   with one [lookup_math] per [Call] in body order, and [slots] grows on
-   demand — so the portable form simply strips them and rehydration
-   rebuilds [fns] by replaying the same walk.  A rehydrated program is
-   therefore indistinguishable from a fresh [compile] of the kernel. *)
+   with one [lookup_math] per [Call] in body order, and [soa_slots]
+   grows on demand — so the portable form simply strips them and
+   rehydration rebuilds [fns] by replaying the same walk.  A rehydrated
+   program is therefore indistinguishable from a fresh [compile] of the
+   kernel. *)
 
-(* Version 4: the superinstruction plan gained the unit partition
-   ([u_end]/[u_kind]) for mixed-chain fusion and column-resident
-   memory units; cached version-3 entries decode to a record missing
-   those arrays, so the bump makes stale jitcache entries miss instead
-   of loading an unpartitioned plan. *)
-let decoder_version = 4
+(* Version 5: opcodes became a variant, and the plan became total
+   (join points, lane-group width) instead of optional; cached
+   version-4 entries would decode to the old layout, so the bump makes
+   them miss. *)
+let decoder_version = 5
 
 type portable = program
 
-let to_portable p = { p with fns = [||]; slots = [||]; soa_slots = [||] }
+let to_portable p = { p with fns = [||]; soa_slots = [||] }
 
 let of_portable (p : portable) =
   let fns =
@@ -649,29 +684,17 @@ let of_portable (p : portable) =
       p.kernel.body
     |> Array.of_list
   in
-  { p with fns; slots = [||]; soa_slots = [||] }
+  { p with fns; soa_slots = [||] }
 
 (* ------------------------------------------------------------------ *)
-(* Worker register files. *)
+(* Worker register rows: [group_lanes] lanes per register, constant
+   pools broadcast across their rows at allocation.  No zeroing is ever
+   needed afterwards: the validator checks that every register is
+   defined before it is read along each path, so a lane never reads a
+   value an earlier group, cta or launch left in its column. *)
 
-let make_wctx p =
-  {
-    wf = Array.make (max 1 (p.nfreg + Array.length p.fpool)) 0.0;
-    wi = Array.make (max 1 (p.nireg + Array.length p.ipool)) 0;
-    wp = Array.make p.npred false;
-  }
-
-let ensure_slots p n =
-  let have = Array.length p.slots in
-  if n > have then
-    p.slots <- Array.init n (fun i -> if i < have then p.slots.(i) else make_wctx p)
-
-(* SoA register rows: [cap] lanes per register, constant pools
-   broadcast across their rows at allocation.  No zeroing is ever
-   needed afterwards: eligible programs define every register before
-   reading it on each executed path (see [plan_soa]), mirroring how the
-   scalar path reuses one [wctx] across all threads of a span. *)
-let make_soa_ctx p cap =
+let make_soa_ctx p =
+  let cap = group_lanes in
   let nf = max 1 (p.nfreg + Array.length p.fpool) in
   let ni = max 1 (p.nireg + Array.length p.ipool) in
   let s =
@@ -680,294 +703,77 @@ let make_soa_ctx p cap =
       si = Array.make (ni * cap) 0;
       sp = Array.make (p.npred * cap) false;
       act = Array.make cap 0;
+      park = Array.make cap (-1);
+      mrg = Array.make cap 0;
       sa = Array.make cap 0;
-      cap;
     }
   in
   Array.iteri (fun pi v -> Array.fill s.sf ((p.nfreg + pi) * cap) cap v) p.fpool;
   Array.iteri (fun pi v -> Array.fill s.si ((p.nireg + pi) * cap) cap v) p.ipool;
   s
 
-(* Sized before workers start (growing is not thread-safe), like
-   [ensure_slots]; [cap] must cover the largest block the program is
-   launched with in the batch. *)
-let ensure_soa_slots p n cap =
+(* Sized before workers start: growing the slot table is not
+   thread-safe. *)
+let ensure_soa_slots p n =
   let have = Array.length p.soa_slots in
   if n > have then
-    p.soa_slots <-
-      Array.init n (fun i -> if i < have then p.soa_slots.(i) else make_soa_ctx p cap);
-  Array.iter
-    (fun s ->
-      if s.cap < cap then begin
-        let fresh = make_soa_ctx p cap in
-        s.sf <- fresh.sf;
-        s.si <- fresh.si;
-        s.sp <- fresh.sp;
-        s.act <- fresh.act;
-        s.sa <- fresh.sa;
-        s.cap <- cap
-      end)
-    p.soa_slots
-
-(* Fresh launch state: registers zeroed (matching the old per-launch
-   context), constant pools installed past the architectural
-   registers. *)
-let bind_slot p (w : wctx) =
-  Array.fill w.wf 0 p.nfreg 0.0;
-  Array.fill w.wi 0 p.nireg 0;
-  Array.fill w.wp 0 p.npred false;
-  Array.blit p.fpool 0 w.wf p.nfreg (Array.length p.fpool);
-  Array.blit p.ipool 0 w.wi p.nireg (Array.length p.ipool)
-
-(* ------------------------------------------------------------------ *)
-(* The interpreter. *)
+    p.soa_slots <- Array.init n (fun i -> if i < have then p.soa_slots.(i) else make_soa_ctx p)
 
 let round32 v = Int32.float_of_bits (Int32.bits_of_float v)
 
-let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : wctx) ~tid
-    ~ctaid ~ntid ~nctaid =
-  let co = p.co and ca = p.ca and cb = p.cb and cc = p.cc and cd = p.cd in
-  let f = w.wf and i = w.wi and pr = w.wp in
-  let fns = p.fns in
-  let pc = ref 0 in
-  while !pc >= 0 do
-    let k = !pc in
-    let next = k + 1 in
-    match co.(k) with
-    | 0 -> pc := -1
-    | 1 ->
-        f.(ca.(k)) <- f.(cb.(k)) +. f.(cc.(k));
-        pc := next
-    | 2 ->
-        f.(ca.(k)) <- f.(cb.(k)) -. f.(cc.(k));
-        pc := next
-    | 3 ->
-        f.(ca.(k)) <- f.(cb.(k)) *. f.(cc.(k));
-        pc := next
-    | 4 ->
-        f.(ca.(k)) <- f.(cb.(k)) /. f.(cc.(k));
-        pc := next
-    | 5 ->
-        f.(ca.(k)) <- (f.(cb.(k)) *. f.(cc.(k))) +. f.(cd.(k));
-        pc := next
-    | 6 ->
-        f.(ca.(k)) <- -.f.(cb.(k));
-        pc := next
-    | 7 ->
-        i.(ca.(k)) <- i.(cb.(k)) + i.(cc.(k));
-        pc := next
-    | 8 ->
-        i.(ca.(k)) <- i.(cb.(k)) - i.(cc.(k));
-        pc := next
-    | 9 ->
-        i.(ca.(k)) <- i.(cb.(k)) * i.(cc.(k));
-        pc := next
-    | 10 ->
-        let d = i.(cc.(k)) in
-        if d = 0 then fault "integer division by zero";
-        i.(ca.(k)) <- i.(cb.(k)) / d;
-        pc := next
-    | 11 ->
-        i.(ca.(k)) <- (i.(cb.(k)) * i.(cc.(k))) + i.(cd.(k));
-        pc := next
-    | 12 ->
-        i.(ca.(k)) <- i.(cb.(k)) lsl cc.(k);
-        pc := next
-    | 13 ->
-        i.(ca.(k)) <- -i.(cb.(k));
-        pc := next
-    | 14 ->
-        f.(ca.(k)) <- f.(cb.(k));
-        pc := next
-    | 15 ->
-        i.(ca.(k)) <- i.(cb.(k));
-        pc := next
-    | 16 ->
-        f.(ca.(k)) <- round32 f.(cb.(k));
-        pc := next
-    | 17 ->
-        f.(ca.(k)) <- float_of_int i.(cb.(k));
-        pc := next
-    | 18 ->
-        i.(ca.(k)) <- int_of_float f.(cb.(k));
-        pc := next
-    | 19 ->
-        pr.(ca.(k)) <- f.(cb.(k)) = f.(cc.(k));
-        pc := next
-    | 20 ->
-        pr.(ca.(k)) <- f.(cb.(k)) <> f.(cc.(k));
-        pc := next
-    | 21 ->
-        pr.(ca.(k)) <- f.(cb.(k)) < f.(cc.(k));
-        pc := next
-    | 22 ->
-        pr.(ca.(k)) <- f.(cb.(k)) <= f.(cc.(k));
-        pc := next
-    | 23 ->
-        pr.(ca.(k)) <- f.(cb.(k)) > f.(cc.(k));
-        pc := next
-    | 24 ->
-        pr.(ca.(k)) <- f.(cb.(k)) >= f.(cc.(k));
-        pc := next
-    | 25 ->
-        pr.(ca.(k)) <- i.(cb.(k)) = i.(cc.(k));
-        pc := next
-    | 26 ->
-        pr.(ca.(k)) <- i.(cb.(k)) <> i.(cc.(k));
-        pc := next
-    | 27 ->
-        pr.(ca.(k)) <- i.(cb.(k)) < i.(cc.(k));
-        pc := next
-    | 28 ->
-        pr.(ca.(k)) <- i.(cb.(k)) <= i.(cc.(k));
-        pc := next
-    | 29 ->
-        pr.(ca.(k)) <- i.(cb.(k)) > i.(cc.(k));
-        pc := next
-    | 30 ->
-        pr.(ca.(k)) <- i.(cb.(k)) >= i.(cc.(k));
-        pc := next
-    | 31 -> pc := ca.(k)
-    | 32 -> pc := if pr.(ca.(k)) then cb.(k) else next
-    | 33 ->
-        i.(ca.(k)) <- tid;
-        pc := next
-    | 34 ->
-        i.(ca.(k)) <- ntid;
-        pc := next
-    | 35 ->
-        i.(ca.(k)) <- ctaid;
-        pc := next
-    | 36 ->
-        i.(ca.(k)) <- nctaid;
-        pc := next
-    | 37 ->
-        (match args.(cb.(k)) with
-        | Ptr b -> i.(ca.(k)) <- Buffer.address b
-        | Int _ | Float _ -> fault "ld.param.u64 on non-pointer parameter");
-        pc := next
-    | 38 ->
-        (match args.(cb.(k)) with
-        | Int v -> i.(ca.(k)) <- v
-        | Ptr _ | Float _ -> fault "ld.param.%%r on non-integer parameter");
-        pc := next
-    | 39 ->
-        (match args.(cb.(k)) with
-        | Float v -> f.(ca.(k)) <- v
-        | Ptr _ | Int _ -> fault "ld.param float on non-float parameter");
-        pc := next
-    | 40 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F32 a ->
-            if off land 3 <> 0 then fault "misaligned f32 load";
-            f.(ca.(k)) <- Bigarray.Array1.get a (off lsr 2)
-        | _ -> fault "typed load does not match buffer kind");
-        pc := next
-    | 41 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F64 a ->
-            if off land 7 <> 0 then fault "misaligned f64 load";
-            f.(ca.(k)) <- Bigarray.Array1.get a (off lsr 3)
-        | _ -> fault "typed load does not match buffer kind");
-        pc := next
-    | 42 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.I32 a ->
-            if off land 3 <> 0 then fault "misaligned i32 load";
-            i.(ca.(k)) <- Int32.to_int (Bigarray.Array1.get a (off lsr 2))
-        | _ -> fault "typed integer load does not match buffer kind");
-        pc := next
-    | 43 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F32 a -> Bigarray.Array1.set a (off lsr 2) f.(cc.(k))
-        | _ -> fault "typed store does not match buffer kind");
-        pc := next
-    | 44 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F64 a -> Bigarray.Array1.set a (off lsr 3) f.(cc.(k))
-        | _ -> fault "typed store does not match buffer kind");
-        pc := next
-    | 45 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.I32 a -> Bigarray.Array1.set a (off lsr 2) (Int32.of_int i.(cc.(k)))
-        | _ -> fault "typed integer store does not match buffer kind");
-        pc := next
-    | 46 ->
-        f.(ca.(k)) <- fns.(cc.(k)) f.(cb.(k));
-        pc := next
-    | 47 ->
-        f.(ca.(k)) <- round32 (fns.(cc.(k)) f.(cb.(k)));
-        pc := next
-    | 48 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F16 a ->
-            if off land 1 <> 0 then fault "misaligned f16 load";
-            f.(ca.(k)) <- Half.float_of_bits (Bigarray.Array1.get a (off lsr 1))
-        | _ -> fault "typed load does not match buffer kind");
-        pc := next
-    | 49 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F16 a ->
-            if off land 1 <> 0 then fault "misaligned f16 store";
-            Bigarray.Array1.set a (off lsr 1) (Half.bits_of_float f.(cc.(k)))
-        | _ -> fault "typed store does not match buffer kind");
-        pc := next
-    | _ -> fault "corrupt opcode"
-  done
-
 (* ------------------------------------------------------------------ *)
-(* Superinstruction (structure-of-arrays) execution of one cta.
+(* Execution of one lane group: lanes [base, base + nlanes) of a cta,
+   lock-step over the structure-of-arrays register rows.
 
-   Every lane of the cta advances through the program lock-step, one
-   fused dispatch per plan unit (see [soa_plan]): mixed ALU chains run
-   their instructions back-to-back over the flat register rows, with
-   the dense fast path walking lanes in [lane_block]-wide unrolled
-   blocks; memory-terminated chains snapshot lane addresses into the
-   [sa] scratch column and resolve the target buffer once per cta; and
-   integer-division islands keep their per-lane fault handler.  For
-   launches admitted by [parallel_ok] this is bit-identical to the
-   scalar (lane-major) sweep: lanes are independent except for the
+   Lanes advance through the program one fused dispatch per plan unit
+   (see [plan]): mixed ALU chains run their instructions back-to-back
+   over the flat register rows, with the dense fast path walking lanes
+   in [lane_block]-wide unrolled blocks; memory-terminated chains
+   snapshot lane addresses into the [sa] scratch column and resolve the
+   target buffer once per group; and integer-division islands keep
+   their per-lane fault handler.
+
+   Branches are predicated.  [bra.pred] to a [ret] retires the lanes
+   that take it; to any other target it parks them there ([park]), and
+   an unconditional [bra] does the same for every active lane.  Spans
+   end before join points, so the pc stops at each one, and the lanes
+   parked there merge back into the sorted active set.  When the active
+   set empties, execution resumes at the lowest parked target.  On a
+   program whose branches all go forward every parked target lies
+   ahead of the pc, so no lane is ever passed over, and each lane
+   executes exactly the instruction sequence of its own path.
+
+   For launches admitted by [parallel_ok] this is bit-identical to the
+   lane-major sequential sweep.  Lanes are independent except for the
    radix-8 reduction-tail contract, whose only cross-lane
    reads-after-writes flow from lower lanes at earlier program points
-   to a later lane at a later program point — an order both schedules
-   preserve (and reduction tails are branchy, so they are rejected by
-   [plan_soa] anyway and never reach this path; the argument covers
-   any future straight-line shape).
+   to a later lane at a later program point.  Each lane's path moves
+   forward through the text and groups run in [tid] order, so a lane
+   reads exactly the partials the sequential sweep would show it.
+   Launches [parallel_ok] rejects, and loops, run in groups of one
+   lane, which is the sequential sweep itself.
 
    Fault determinism: lanes that fault are recorded and deactivated,
-   the rest of the cta runs on, and the *lowest* faulted lane is
+   the rest of the group runs on, and the *lowest* faulted lane is
    reported.  Lanes below the lowest lock-step fault complete and
-   behave exactly as in the scalar sweep (they read nothing from
+   behave exactly as in the sequential sweep (they read nothing from
    higher lanes), so the lowest lock-step fault is the fault the
-   scalar sweep would hit first — same lane, same message.  Memory
-   past that fault is unspecified, as in the scalar contract.  Faults
-   raised outside a per-lane handler (parameter-class mismatches,
-   corrupt opcodes — conditions uniform across lanes) are charged to
-   the lowest active lane, which is the lane the scalar sweep would
-   fault on.  The column-resident fast pass of a memory unit may
-   partially execute before bailing to the per-lane slow pass; that is
-   safe because the unit is idempotent once [sa] is snapshotted —
-   re-running a lane's load or store reads the same address and the
-   same unchanged source column, so the slow pass reproduces the exact
-   per-lane outcomes (values and fault messages) of the scalar sweep.
+   sequential sweep would hit first — same lane, same message.  Memory
+   past that fault is unspecified.  Faults raised outside a per-lane
+   handler (parameter-class mismatches, corrupt opcodes — conditions
+   uniform across the lanes at that pc) are charged to the lowest
+   active lane and drop the active set; parked lanes keep running,
+   because a lower parked lane may still fault further on, and the
+   lowest fault wins.  The column-resident fast pass of a memory unit
+   may partially execute before bailing to the per-lane slow pass;
+   that is safe because the unit is idempotent once [sa] is
+   snapshotted — re-running a lane's load or store reads the same
+   address and the same unchanged source column, so the slow pass
+   reproduces the exact per-lane outcomes (values and fault messages)
+   of the sequential sweep.
 
-   Returns the lowest faulted [(lane, exn)], or [None]. *)
+   Returns the lowest faulted [(lane, exn)] (lane relative to [base]),
+   or [None]. *)
 
 let lane_block = 8
 
@@ -976,8 +782,8 @@ let lane_block = 8
    contiguous column segments in [lane_block]-wide unrolled blocks of
    unsafe accesses — no per-lane indirection or branching, the bounds
    reasoning amortized across the block.  Callers pass row origins
-   ([reg * cap]) and guarantee [n <= cap], so every touched index is in
-   bounds.  Lanes are independent columns, so a block is safe even when
+   ([reg * group_lanes]) and guarantee [n <= group_lanes], so every
+   touched index is in bounds.  Lanes are independent columns, so a block is safe even when
    the destination row aliases a source row. *)
 
 let add_dense sf ba bb bc n =
@@ -1101,23 +907,26 @@ let fma_dense sf ba bb bc bd n =
       +. Array.unsafe_get sf (bd + i))
   done
 
-let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s : soa_ctx)
-    ~ctaid ~block ~grid =
-  let plan = match p.soa with Some pl -> pl | None -> assert false in
+let exec_group p (lookup : int -> Buffer.data) (args : param_value array) (s : soa_ctx)
+    ~ctaid ~block ~grid ~base ~nlanes =
+  let plan = p.plan in
   let co = p.co and ca = p.ca and cb = p.cb and cc = p.cc and cd = p.cd in
   let sf = s.sf and si = s.si and sp = s.sp and act = s.act and sa = s.sa in
-  let nl = s.cap in
+  let park = s.park and mrg = s.mrg in
+  let nl = group_lanes in
+  let ninstr = Array.length co in
   let fns = p.fns in
   let obits = Buffer.offset_bits and omask = Buffer.offset_mask in
-  for l = 0 to block - 1 do
+  for l = 0 to nlanes - 1 do
     Array.unsafe_set act l l
   done;
-  let nact = ref block in
-  (* [act] stays sorted (it starts as the identity and compaction
-     preserves order), so it is the identity prefix — and the hot arms
-     can skip the indirection — exactly when its last entry equals its
-     index.  That is the common case: a full cta whose bounds guard
-     retires no lane stays dense for the whole program. *)
+  let nact = ref nlanes and npark = ref 0 in
+  (* [act] stays sorted (it starts as the identity; compaction and the
+     join merge preserve order), so it is the identity prefix — and the
+     hot arms can skip the indirection — exactly when its last entry
+     equals its index.  That is the common case: a full group whose
+     bounds guard retires no lane stays dense through straight-line
+     code. *)
   let dense = ref true in
   let fmin = ref max_int and fexn = ref None in
   let faulted = ref false in
@@ -1153,7 +962,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
     let d = !dense in
     for k = k0 to k1 - 1 do
       match co.(k) with
-      | 1 ->
+      | Fadd ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then add_dense sf ba bb bc n
           else
@@ -1162,7 +971,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sf (ba + l)
                 (Array.unsafe_get sf (bb + l) +. Array.unsafe_get sf (bc + l))
             done
-      | 2 ->
+      | Fsub ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then sub_dense sf ba bb bc n
           else
@@ -1171,7 +980,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sf (ba + l)
                 (Array.unsafe_get sf (bb + l) -. Array.unsafe_get sf (bc + l))
             done
-      | 3 ->
+      | Fmul ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then mul_dense sf ba bb bc n
           else
@@ -1180,7 +989,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sf (ba + l)
                 (Array.unsafe_get sf (bb + l) *. Array.unsafe_get sf (bc + l))
             done
-      | 4 ->
+      | Fdiv ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1193,7 +1002,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sf (ba + l)
                 (Array.unsafe_get sf (bb + l) /. Array.unsafe_get sf (bc + l))
             done
-      | 5 ->
+      | Ffma ->
           (* the hot one: dslash/clover bodies are mostly fma chains *)
           let ba = ca.(k) * nl
           and bb = cb.(k) * nl
@@ -1207,7 +1016,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                 ((Array.unsafe_get sf (bb + l) *. Array.unsafe_get sf (bc + l))
                 +. Array.unsafe_get sf (bd + l))
             done
-      | 6 ->
+      | Fneg ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1218,7 +1027,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set sf (ba + l) (-.Array.unsafe_get sf (bb + l))
             done
-      | 7 ->
+      | Iadd ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1231,7 +1040,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set si (ba + l)
                 (Array.unsafe_get si (bb + l) + Array.unsafe_get si (bc + l))
             done
-      | 8 ->
+      | Isub ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1244,7 +1053,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set si (ba + l)
                 (Array.unsafe_get si (bb + l) - Array.unsafe_get si (bc + l))
             done
-      | 9 ->
+      | Imul ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1257,7 +1066,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set si (ba + l)
                 (Array.unsafe_get si (bb + l) * Array.unsafe_get si (bc + l))
             done
-      | 11 ->
+      | Ifma ->
           let ba = ca.(k) * nl
           and bb = cb.(k) * nl
           and bc = cc.(k) * nl
@@ -1275,7 +1084,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                 ((Array.unsafe_get si (bb + l) * Array.unsafe_get si (bc + l))
                 + Array.unsafe_get si (bd + l))
             done
-      | 12 ->
+      | Ishl ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and amount = cc.(k) in
           if d then
             for l = 0 to n - 1 do
@@ -1286,7 +1095,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set si (ba + l) (Array.unsafe_get si (bb + l) lsl amount)
             done
-      | 13 ->
+      | Ineg ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1297,7 +1106,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set si (ba + l) (-Array.unsafe_get si (bb + l))
             done
-      | 14 ->
+      | Fmov ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           if d then Array.blit sf bb sf ba n
           else
@@ -1305,7 +1114,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set sf (ba + l) (Array.unsafe_get sf (bb + l))
             done
-      | 15 ->
+      | Imov ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           if d then Array.blit si bb si ba n
           else
@@ -1313,7 +1122,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set si (ba + l) (Array.unsafe_get si (bb + l))
             done
-      | 16 ->
+      | Fround32 ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1324,7 +1133,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set sf (ba + l) (round32 (Array.unsafe_get sf (bb + l)))
             done
-      | 17 ->
+      | Itof ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1335,7 +1144,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set sf (ba + l) (float_of_int (Array.unsafe_get si (bb + l)))
             done
-      | 18 ->
+      | Ftoi ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1346,7 +1155,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set si (ba + l) (int_of_float (Array.unsafe_get sf (bb + l)))
             done
-      | 19 ->
+      | Fset_eq ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1359,7 +1168,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get sf (bb + l) = Array.unsafe_get sf (bc + l))
             done
-      | 20 ->
+      | Fset_ne ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1372,7 +1181,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get sf (bb + l) <> Array.unsafe_get sf (bc + l))
             done
-      | 21 ->
+      | Fset_lt ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1385,7 +1194,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get sf (bb + l) < Array.unsafe_get sf (bc + l))
             done
-      | 22 ->
+      | Fset_le ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1398,7 +1207,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get sf (bb + l) <= Array.unsafe_get sf (bc + l))
             done
-      | 23 ->
+      | Fset_gt ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1411,7 +1220,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get sf (bb + l) > Array.unsafe_get sf (bc + l))
             done
-      | 24 ->
+      | Fset_ge ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1424,7 +1233,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get sf (bb + l) >= Array.unsafe_get sf (bc + l))
             done
-      | 25 ->
+      | Iset_eq ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1437,7 +1246,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get si (bb + l) = Array.unsafe_get si (bc + l))
             done
-      | 26 ->
+      | Iset_ne ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1450,7 +1259,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get si (bb + l) <> Array.unsafe_get si (bc + l))
             done
-      | 27 ->
+      | Iset_lt ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1463,7 +1272,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get si (bb + l) < Array.unsafe_get si (bc + l))
             done
-      | 28 ->
+      | Iset_le ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1476,7 +1285,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get si (bb + l) <= Array.unsafe_get si (bc + l))
             done
-      | 29 ->
+      | Iset_gt ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1489,7 +1298,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get si (bb + l) > Array.unsafe_get si (bc + l))
             done
-      | 30 ->
+      | Iset_ge ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl and bc = cc.(k) * nl in
           if d then
             for l = 0 to n - 1 do
@@ -1502,18 +1311,18 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               Array.unsafe_set sp (ba + l)
                 (Array.unsafe_get si (bb + l) >= Array.unsafe_get si (bc + l))
             done
-      | 33 ->
+      | Rd_tid ->
           let ba = ca.(k) * nl in
           if d then
             for l = 0 to n - 1 do
-              Array.unsafe_set si (ba + l) l
+              Array.unsafe_set si (ba + l) (base + l)
             done
           else
             for ai = 0 to n - 1 do
               let l = Array.unsafe_get act ai in
-              Array.unsafe_set si (ba + l) l
+              Array.unsafe_set si (ba + l) (base + l)
             done
-      | 34 ->
+      | Rd_ntid ->
           let ba = ca.(k) * nl in
           if d then Array.fill si ba n block
           else
@@ -1521,7 +1330,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set si (ba + l) block
             done
-      | 35 ->
+      | Rd_ctaid ->
           let ba = ca.(k) * nl in
           if d then Array.fill si ba n ctaid
           else
@@ -1529,7 +1338,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set si (ba + l) ctaid
             done
-      | 36 ->
+      | Rd_nctaid ->
           let ba = ca.(k) * nl in
           if d then Array.fill si ba n grid
           else
@@ -1537,7 +1346,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
               let l = Array.unsafe_get act ai in
               Array.unsafe_set si (ba + l) grid
             done
-      | 37 -> (
+      | Param_ptr -> (
           match args.(cb.(k)) with
           | Ptr b ->
               let v = Buffer.address b and ba = ca.(k) * nl in
@@ -1548,7 +1357,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                   Array.unsafe_set si (ba + l) v
                 done
           | Int _ | Float _ -> fault "ld.param.u64 on non-pointer parameter")
-      | 38 -> (
+      | Param_int -> (
           match args.(cb.(k)) with
           | Int v ->
               let ba = ca.(k) * nl in
@@ -1559,7 +1368,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                   Array.unsafe_set si (ba + l) v
                 done
           | Ptr _ | Float _ -> fault "ld.param.%%r on non-integer parameter")
-      | 39 -> (
+      | Param_float -> (
           match args.(cb.(k)) with
           | Float v ->
               let ba = ca.(k) * nl in
@@ -1570,14 +1379,14 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                   Array.unsafe_set sf (ba + l) v
                 done
           | Ptr _ | Int _ -> fault "ld.param float on non-float parameter")
-      | 46 ->
+      | Call_f64 ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           let fn = fns.(cc.(k)) in
           for ai = 0 to n - 1 do
             let l = Array.unsafe_get act ai in
             Array.unsafe_set sf (ba + l) (fn (Array.unsafe_get sf (bb + l)))
           done
-      | 47 ->
+      | Call_f32 ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
           let fn = fns.(cc.(k)) in
           for ai = 0 to n - 1 do
@@ -1626,7 +1435,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
   in
   let mem_slow k n =
     match co.(k) with
-    | 40 ->
+    | Ld_f32 ->
         let ba = ca.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1642,7 +1451,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
             record l e;
             act.(ai) <- -1
         done
-    | 41 ->
+    | Ld_f64 ->
         let ba = ca.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1658,7 +1467,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
             record l e;
             act.(ai) <- -1
         done
-    | 42 ->
+    | Ld_i32 ->
         let ba = ca.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1675,7 +1484,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
             record l e;
             act.(ai) <- -1
         done
-    | 43 ->
+    | St_f32 ->
         let bc = cc.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1689,7 +1498,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
             record l e;
             act.(ai) <- -1
         done
-    | 44 ->
+    | St_f64 ->
         let bc = cc.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1703,7 +1512,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
             record l e;
             act.(ai) <- -1
         done
-    | 45 ->
+    | St_i32 ->
         let bc = cc.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1718,7 +1527,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
             record l e;
             act.(ai) <- -1
         done
-    | 48 ->
+    | Ld_f16 ->
         let ba = ca.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1735,7 +1544,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
             record l e;
             act.(ai) <- -1
         done
-    | 49 ->
+    | St_f16 ->
         let bc = cc.(k) * nl in
         for ai = 0 to n - 1 do
           let l = Array.unsafe_get act ai in
@@ -1757,7 +1566,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
   let exec_mem k =
     let n = !nact in
     let o = co.(k) in
-    let store = (o >= 43 && o <= 45) || o = 49 in
+    let store = is_store o in
     let ab = (if store then ca.(k) else cb.(k)) * nl
     and off0 = if store then cb.(k) else cc.(k) in
     snap ab off0 n;
@@ -1768,7 +1577,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
       | data -> (
           try
             match (o, data) with
-            | 40, Buffer.F32 a ->
+            | Ld_f32, Buffer.F32 a ->
                 let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1778,7 +1587,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                     (Bigarray.Array1.get a ((addr land omask) lsr 2))
                 done;
                 true
-            | 41, Buffer.F64 a ->
+            | Ld_f64, Buffer.F64 a ->
                 let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1788,7 +1597,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                     (Bigarray.Array1.get a ((addr land omask) lsr 3))
                 done;
                 true
-            | 42, Buffer.I32 a ->
+            | Ld_i32, Buffer.I32 a ->
                 let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1798,7 +1607,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                     (Int32.to_int (Bigarray.Array1.get a ((addr land omask) lsr 2)))
                 done;
                 true
-            | 43, Buffer.F32 a ->
+            | St_f32, Buffer.F32 a ->
                 let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1807,7 +1616,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                   Bigarray.Array1.set a ((addr land omask) lsr 2) (Array.unsafe_get sf (bc + l))
                 done;
                 true
-            | 44, Buffer.F64 a ->
+            | St_f64, Buffer.F64 a ->
                 let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1816,7 +1625,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                   Bigarray.Array1.set a ((addr land omask) lsr 3) (Array.unsafe_get sf (bc + l))
                 done;
                 true
-            | 45, Buffer.I32 a ->
+            | St_i32, Buffer.I32 a ->
                 let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1826,7 +1635,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                     (Int32.of_int (Array.unsafe_get si (bc + l)))
                 done;
                 true
-            | 48, Buffer.F16 a ->
+            | Ld_f16, Buffer.F16 a ->
                 let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1836,7 +1645,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                     (Half.float_of_bits (Bigarray.Array1.get a ((addr land omask) lsr 1)))
                 done;
                 true
-            | 49, Buffer.F16 a ->
+            | St_f16, Buffer.F16 a ->
                 let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
@@ -1855,57 +1664,103 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
      per-lane handlers confined to memory terminators and islands,
      compaction once per faulted unit (units never re-execute a lane's
      instruction non-idempotently, so deferring compaction to unit
-     boundaries preserves the scalar sweep's outcomes). *)
+     boundaries preserves the sequential sweep's outcomes). *)
   let exec_span k0 k1 =
     let u = ref k0 in
     while !u < k1 && !nact > 0 do
       let s0 = !u in
       let ue = Array.unsafe_get plan.u_end s0 in
       (match Array.unsafe_get plan.u_kind s0 with
-      | 0 -> (
+      | Chain -> (
           try exec_chain s0 ue
           with e ->
-            (* Lane-uniform fault: the scalar sweep would hit it on the
-               lowest active lane first. *)
+            (* Lane-uniform fault: the sequential sweep would hit it on
+               the lowest active lane first. *)
             record act.(0) e;
             nact := 0)
-      | 1 -> (
+      | Mem_chain -> (
           try
             exec_chain s0 (ue - 1);
             exec_mem (ue - 1)
           with e ->
             record act.(0) e;
             nact := 0)
-      | _ -> exec_div s0);
+      | Island -> exec_div s0);
       if !faulted then compact ();
       u := ue
     done
   in
+  (* Predication.  [branch t pb] takes the branch to [t] for every
+     active lane whose predicate (row origin [pb]) holds, or for all of
+     them when [pb] is negative: a target that [exits] retires those
+     lanes, any other target parks them there.  [merge j] moves the
+     lanes parked at join point [j] back into the active set, keeping it
+     sorted. *)
+  let branch t pb =
+    let stay = not (exits co t) in
+    let n = !nact and keep = ref 0 in
+    for ai = 0 to n - 1 do
+      let l = Array.unsafe_get act ai in
+      if pb < 0 || Array.unsafe_get sp (pb + l) then begin
+        if stay then begin
+          Array.unsafe_set park l t;
+          incr npark
+        end
+      end
+      else begin
+        Array.unsafe_set act !keep l;
+        incr keep
+      end
+    done;
+    nact := !keep;
+    dense := !keep = 0 || act.(!keep - 1) = !keep - 1
+  in
+  let merge j =
+    let n = !nact and ai = ref 0 and out = ref 0 in
+    for l = 0 to nlanes - 1 do
+      if Array.unsafe_get park l = j then begin
+        Array.unsafe_set park l (-1);
+        Array.unsafe_set mrg !out l;
+        incr out
+      end
+      else if !ai < n && Array.unsafe_get act !ai = l then begin
+        Array.unsafe_set mrg !out l;
+        incr out;
+        incr ai
+      end
+    done;
+    if !out > n then begin
+      npark := !npark - (!out - n);
+      Array.blit mrg 0 act 0 !out;
+      nact := !out;
+      dense := act.(!out - 1) = !out - 1
+    end
+  in
+  let lowest_parked () =
+    let m = ref max_int in
+    for l = 0 to nlanes - 1 do
+      let t = Array.unsafe_get park l in
+      if t >= 0 && t < !m then m := t
+    done;
+    !m
+  in
   let pc = ref 0 in
-  while !pc >= 0 && !nact > 0 do
+  while !pc >= 0 do
     let k = !pc in
-    match co.(k) with
-    | 0 -> pc := -1
-    | 32 ->
-        (* exit branch: lanes whose predicate holds retire *)
-        let pb = ca.(k) * nl in
-        let n = !nact in
-        let keep = ref 0 in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          if not (Array.unsafe_get sp (pb + l)) then begin
-            Array.unsafe_set act !keep l;
-            incr keep
-          end
-        done;
-        nact := !keep;
-        dense := !keep = 0 || act.(!keep - 1) = !keep - 1;
-        pc := k + 1
-    | 31 -> pc := ca.(k) (* unreachable: [plan_soa] rejects bra *)
-    | _ ->
-        let e = plan.span_end.(k) in
-        exec_span k e;
-        pc := e
+    if !npark > 0 && k < ninstr && Array.unsafe_get plan.join k then merge k;
+    if !nact = 0 then pc := if !npark = 0 then -1 else lowest_parked ()
+    else if k >= ninstr then nact := 0 (* falling off the end retires, like ret *)
+    else
+      match co.(k) with
+      | Halt -> nact := 0
+      | Jmp -> branch ca.(k) (-1)
+      | Jmp_if ->
+          branch cb.(k) (ca.(k) * nl);
+          pc := k + 1
+      | _ ->
+          let e = plan.span_end.(k) in
+          exec_span k e;
+          pc := e
   done;
   match !fexn with None -> None | Some e -> Some (!fmin, e)
 
@@ -1963,50 +1818,35 @@ let enrich p e ~ctaid ~tid =
       Fault (Printf.sprintf "%s [kernel %s, ctaid %d, tid %d]" msg p.kernel.kname ctaid tid)
   | e -> e
 
-(* One cta span, executed in (cta, tid) order.  [key] is the span's
-   position in the flat batch schedule (launch-major, cta-ordered), so
-   the first fault recorded at the lowest key is exactly the fault a
-   sequential sweep of the whole batch would hit first.  Recording a
-   fault lowers [stop] so spans with higher keys (later ctas / later
-   launches) bail out; lower-keyed spans run to completion. *)
-let run_span p lookup args w ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
+(* One cta span, executed in (cta, tid) order: each cta in consecutive
+   lane groups of [width] lanes.  [key] is the span's position in the
+   flat batch schedule (launch-major, cta-ordered), so the first fault
+   recorded at the lowest key is exactly the fault a sequential sweep
+   of the whole batch would hit first.  A group that faults ends the
+   span: lower groups of the cta ran to completion, higher ones hold
+   higher tids.  Recording a fault lowers [stop] so spans with higher
+   keys (later ctas / later launches) bail out; lower-keyed spans run
+   to completion. *)
+let run_ctas p lookup args s ~width ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
     (faults : (int * int * exn) option array) =
   try
     for cta = c0 to c1 - 1 do
       if Atomic.get stop < key then raise Exit;
-      for t = 0 to block - 1 do
-        try exec_thread p lookup args w ~tid:t ~ctaid:cta ~ntid:block ~nctaid:grid
-        with e ->
-          faults.(key) <- Some (cta, t, e);
-          let rec lower () =
-            let cur = Atomic.get stop in
-            if key < cur && not (Atomic.compare_and_set stop cur key) then lower ()
-          in
-          lower ();
-          raise Exit
+      let base = ref 0 in
+      while !base < block do
+        let nlanes = min width (block - !base) in
+        (match exec_group p lookup args s ~ctaid:cta ~block ~grid ~base:!base ~nlanes with
+        | None -> ()
+        | Some (lane, e) ->
+            faults.(key) <- Some (cta, !base + lane, e);
+            let rec lower () =
+              let cur = Atomic.get stop in
+              if key < cur && not (Atomic.compare_and_set stop cur key) then lower ()
+            in
+            lower ();
+            raise Exit);
+        base := !base + nlanes
       done
-    done
-  with Exit -> ()
-
-(* Same span contract, superinstruction execution: whole ctas in
-   order, each run lock-step across its lanes by [exec_cta_soa].  The
-   fault protocol is identical — lowest (cta, lane) recorded under the
-   span's key, [stop] lowered so higher-keyed spans bail. *)
-let run_span_soa p lookup args s ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
-    (faults : (int * int * exn) option array) =
-  try
-    for cta = c0 to c1 - 1 do
-      if Atomic.get stop < key then raise Exit;
-      match exec_cta_soa p lookup args s ~ctaid:cta ~block ~grid with
-      | None -> ()
-      | Some (lane, e) ->
-          faults.(key) <- Some (cta, lane, e);
-          let rec lower () =
-            let cur = Atomic.get stop in
-            if key < cur && not (Atomic.compare_and_set stop cur key) then lower ()
-          in
-          lower ();
-          raise Exit
     done
   with Exit -> ()
 
@@ -2078,16 +1918,13 @@ let conflicts i j =
    store-disjointness gate as the old per-launch path, so a launch that
    must run as one sequential sweep still overlaps *other* independent
    launches in the batch. *)
-let spans_of workers l =
+let spans_of workers l ~par =
   if l.l_grid <= 0 || l.l_block <= 0 then [||]
   else begin
     let align = 8 / gcd l.l_block 8 in
     let units = l.l_grid / align in
     let w =
-      if
-        workers <= 1 || units < 2
-        || l.l_grid * l.l_block < min_parallel_threads
-        || not (parallel_ok l.l_prog l.l_params)
+      if workers <= 1 || units < 2 || l.l_grid * l.l_block < min_parallel_threads || not par
       then 1
       else min workers units
     in
@@ -2098,7 +1935,14 @@ let spans_of workers l =
 let run_batch ?(workers = 1) ~lookup (launches : launch array) =
   let nl = Array.length launches in
   if nl > 0 then begin
-    let spans = Array.map (spans_of workers) launches in
+    (* [parallel_ok] is exactly the cross-lane independence both worker
+       splitting and lock-step lane groups rely on; a launch it rejects
+       runs as one sequential sweep, in groups of one lane. *)
+    let par = Array.map (fun l -> parallel_ok l.l_prog l.l_params) launches in
+    let width =
+      Array.mapi (fun li l -> if par.(li) then l.l_prog.plan.width else 1) launches
+    in
+    let spans = Array.mapi (fun li l -> spans_of workers l ~par:par.(li)) launches in
     (* Flat schedule: launch-major, cta-ordered — item index IS the
        deterministic fault priority. *)
     let items =
@@ -2107,19 +1951,6 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
            (Array.mapi (fun li s -> Array.map (fun (c0, c1) -> (li, c0, c1)) s) spans))
     in
     let nitems = Array.length items in
-    (* Per-launch execution strategy: superinstructions when the flag
-       is on, the program decoded to an eligible plan, and the launch
-       passes the same store-disjointness gate that admits worker
-       splitting — [parallel_ok] is exactly the cross-lane independence
-       the lock-step sweep relies on.  Tiny blocks stay scalar: there
-       is nothing to amortize the per-cta dispatch over. *)
-    let use_soa =
-      Array.map
-        (fun l ->
-          superinstructions_enabled () && l.l_block >= 8 && l.l_prog.soa <> None
-          && parallel_ok l.l_prog l.l_params)
-        launches
-    in
     if nitems > 0 then begin
       (* Dependency edges; skipped for singleton batches (the common
          [run_grid] path pays nothing for the generalization). *)
@@ -2161,16 +1992,11 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
         end
       in
       let w = min workers nitems in
-      (* Register files are per (program, worker); growing the slot
+      (* Register rows are per (program, worker); growing the slot
          table isn't thread-safe, so size it up front.  A program that
          appears in several concurrent launches is fine: distinct
-         workers use distinct slots and [bind_slot] re-installs the
-         launch state (zeroed registers + constant pools) per span. *)
-      Array.iteri
-        (fun li l ->
-          if use_soa.(li) then ensure_soa_slots l.l_prog w l.l_block
-          else ensure_slots l.l_prog w)
-        launches;
+         workers use distinct slots. *)
+      Array.iter (fun l -> ensure_soa_slots l.l_prog w) launches;
       let stop = Atomic.make max_int in
       let faults = Array.make nitems None in
       let cursor = Atomic.make 0 in
@@ -2187,15 +2013,8 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
                down [remaining], so waiters always wake. *)
             wait_deps li;
             let p = l.l_prog in
-            if use_soa.(li) then
-              run_span_soa p lookup l.l_params p.soa_slots.(k) ~block:l.l_block
-                ~grid:l.l_grid ~c0 ~c1 ~key:idx ~stop faults
-            else begin
-              let wctx = p.slots.(k) in
-              bind_slot p wctx;
-              run_span p lookup l.l_params wctx ~block:l.l_block ~grid:l.l_grid
-                ~c0 ~c1 ~key:idx ~stop faults
-            end;
+            run_ctas p lookup l.l_params p.soa_slots.(k) ~width:width.(li) ~block:l.l_block
+              ~grid:l.l_grid ~c0 ~c1 ~key:idx ~stop faults;
             complete li;
             loop ()
           end

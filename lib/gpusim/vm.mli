@@ -1,28 +1,33 @@
 (** Pre-decoded executable form of a PTX kernel and its multicore
-    interpreter — the back half of the simulated driver JIT.
+    executor — the back half of the simulated driver JIT.
 
-    [compile] lowers a validated kernel into a flat program: int-coded
+    [compile] lowers a validated kernel into a flat program: named
     opcodes with operand indices in parallel arrays, branch targets
     pre-resolved, immediates promoted into constant-pool register slots.
+    Every program also decodes to a plan for the one executor: maximal
+    non-control spans, cut at branch targets ("join points"), are
+    partitioned into fused dispatch units — mixed ALU chains (float and
+    integer arithmetic, address mad/shl/add chains, cvt, setp, parameter
+    and sreg reads), memory-terminated chains whose global load/store
+    runs column-resident (lane addresses snapshotted, the buffer
+    resolved once per lane group), and per-lane-faultable islands
+    (integer division).
+
+    The executor runs each cta in consecutive lane groups of a fixed
+    width, lock-step over flat unboxed register rows, walking a unit's
+    lanes in fixed-width blocks on the dense fast path.  Branches are
+    predicated, as on a SIMT device: a branch to [ret] retires the lanes
+    that take it, any other branch parks them at its target, and parked
+    lanes rejoin the active set when the group reaches that join point.
+    Launches the parallel-safety analysis rejects (the in-place shift
+    gather) and programs with a backward branch run in groups of one
+    lane, which is exactly the sequential sweep.
+
     [run_grid] sweeps the grid, splitting whole-cta chunks across
     {!Vm_backend} workers when a decode-time provenance analysis proves
     the launch's stores are disjoint per work item — results are then
-    bit-identical to the sequential sweep.  See DESIGN.md "Parallel VM
-    back-end".
-
-    Straight-line pointwise programs additionally decode to a
-    *superinstruction plan*: maximal non-control spans are partitioned
-    into fused dispatch units — mixed ALU chains (float and integer
-    arithmetic, address mad/shl/add chains, cvt, setp, parameter and
-    sreg reads), memory-terminated chains whose global load/store runs
-    column-resident (lane addresses snapshotted, the buffer resolved
-    once per cta), and per-lane-faultable islands (integer division).
-    The SoA executor walks a unit's lanes in fixed-width blocks over
-    flat unboxed register rows on the dense fast path.  Launches
-    admitted by the same parallel-safety analysis run lock-step
-    bit-identically to the scalar interpreter at every worker count;
-    everything else (reduction tails, gathers that force sequential
-    sweeps) stays on the scalar path.  See DESIGN.md "SIMD-blocked
+    bit-identical to the sequential sweep at every worker count.  See
+    DESIGN.md "Parallel VM back-end" and "SIMD-blocked
     superinstructions". *)
 
 type param_value = Ptr of Buffer.t | Int of int | Float of float
@@ -37,8 +42,11 @@ exception Fault of string
 type program
 
 val compile : Ptx.Types.kernel -> program
-(** Validate and pre-decode.  Raises {!Fault} on malformed kernels
-    (undefined labels, unsupported operand classes). *)
+(** Validate, pre-decode and plan.  Every program gets a plan: forward
+    branches become predication and join points, and a backward branch
+    makes the program run in one-lane groups.  Raises {!Fault} on
+    malformed kernels (undefined labels, unsupported operand
+    classes). *)
 
 val decoder_version : int
 (** Bumped whenever the pre-decoded representation changes; persistent
@@ -89,38 +97,30 @@ val run_batch :
     provenance proves its loads can't alias any predecessor's pending
     stores (conservative per-buffer RAW/WAW/WAR edges; an access with
     an unresolvable base buffer makes its launch a full barrier).
-    Results are bit-identical to running the launches one by one on the
-    sequential interpreter at every worker count, and faults are
+    Each cta runs in lane groups of the width its plan allows (one
+    lane when [parallelizable] rejects the launch).  Results are
+    bit-identical to running the launches one by one, thread by thread,
+    at every worker count, and faults are
     deterministic: the lowest (launch index, ctaid, tid) fault wins
     batch-wide and is raised with the same message the sequential
     sweep would produce.  On a fault, launches/spans scheduled after
     the winning fault may or may not have executed — exactly the
     contract a faulting device leaves memory in. *)
 
+val group_lanes : int
+(** Lanes per lock-step group: the width of every register row, and of
+    every lane group a {!parallelizable} launch of a loop-free program
+    runs in.  A fixed constant. *)
+
 val decoded_instructions : program -> int
 (** Flat instruction count after label compaction (introspection). *)
-
-val set_superinstructions : bool -> unit
-(** Toggle superinstruction (SoA) execution process-wide.  The initial
-    value honours [REPRO_VM_SUPERINSN] via {!superinsn_of_env}; results
-    are bit-identical either way, so this is a perf escape hatch and an
-    A/B lever for benches. *)
-
-val superinstructions_enabled : unit -> bool
-
-val superinsn_of_env : string option -> bool
-(** Pure parser behind the [REPRO_VM_SUPERINSN] initial value: [false]
-    (executor off) exactly for the off/0/none/disabled spellings,
-    case-insensitive and whitespace-trimmed — the same set the
-    [REPRO_JIT_CACHE] override accepts.  Anything else, including
-    [None] (unset) and the empty string, leaves the executor on. *)
 
 type soa_stats = { spans : int; units : int; covered : int; total : int }
 (** Superinstruction plan summary: [spans] fused regions covering
     [covered] of the [total] decoded instructions, executed as [units]
     dispatch units per cta (a mixed ALU chain, a memory-terminated
-    chain, or a division island each count once).  All zeros except
-    [total] when the program is ineligible. *)
+    chain, or a division island each count once).  Every non-control
+    instruction is covered. *)
 
 val superinsn_stats : program -> soa_stats
 

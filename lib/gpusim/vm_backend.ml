@@ -17,14 +17,13 @@
     Not reentrant: sweeps are synchronous and issued from one thread at
     a time, so at most one [run] is in flight.
 
-    The pool is execution-strategy agnostic: workers claim (launch,
-    cta-span) items off the VM's shared cursor exactly the same whether
-    a span then runs through the scalar interpreter or the lane-blocked
-    superinstruction (SoA) executor — fused units, column-resident
-    memory ops and division islands all retire inside one cta before
-    the worker claims its next span, so the schedule, the dependency
-    edges and the lowest-(launch, ctaid, tid)-wins fault protocol are
-    unchanged by the dispatch strategy. *)
+    The pool knows nothing of how a span executes: workers claim
+    (launch, cta-span) items off the VM's shared cursor, and every lane
+    group of a span — fused units, column-resident memory ops, division
+    islands, predicated branches — retires before the worker claims its
+    next span, so the schedule, the dependency edges and the
+    lowest-(launch, ctaid, tid)-wins fault protocol do not depend on the
+    lane-group width. *)
 
 let runtime = "multicore"
 let available_domains () = Domain.recommended_domain_count ()

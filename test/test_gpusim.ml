@@ -294,22 +294,6 @@ let test_multi_domains_env () =
         (Multi.create ?rank_domains:arg ~global_dims:[| 2; 2; 2; 2 |] ~rank_dims:[| 1; 1; 1; 1 |]
            ()))
 
-(* REPRO_VM_SUPERINSN parsing: the executor switches off for exactly
-   the off/0/none/disabled spellings REPRO_JIT_CACHE accepts, case- and
-   whitespace-insensitively; everything else — unset, empty, and
-   notably the no-longer-special "false" — leaves it on.  The pure
-   parser is tested directly because the ref it feeds is initialized
-   once at module load. *)
-let test_superinsn_env () =
-  let parse v = Gpusim.Vm.superinsn_of_env (Some v) in
-  List.iter
-    (fun v -> Alcotest.(check bool) (Printf.sprintf "%S disables" v) false (parse v))
-    [ "off"; "OFF"; " Off\t"; "0"; " 0 "; "none"; "NoNe"; "disabled"; "  DISABLED" ];
-  List.iter
-    (fun v -> Alcotest.(check bool) (Printf.sprintf "%S stays on" v) true (parse v))
-    [ "on"; "1"; ""; "   "; "yes"; "offf"; "false" ];
-  Alcotest.(check bool) "unset stays on" true (Gpusim.Vm.superinsn_of_env None)
-
 let () =
   Alcotest.run "gpusim"
     [
@@ -318,7 +302,6 @@ let () =
           Alcotest.test_case "daxpy executes" `Quick test_daxpy_executes;
           Alcotest.test_case "thread guard" `Quick test_guard_respected;
           Alcotest.test_case "math subroutine" `Quick test_math_subroutine;
-          Alcotest.test_case "REPRO_VM_SUPERINSN parse" `Quick test_superinsn_env;
         ] );
       ( "device",
         [

@@ -138,36 +138,6 @@ let qcheck_reductions =
       && ceq r1 rc && ceq i1 ic)
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction (SoA) dispatch: toggling the executor must be
-   invisible — same bits, same faults — at every worker count. *)
-
-let with_superinsn b f =
-  let prev = Gpusim.Vm.superinstructions_enabled () in
-  Gpusim.Vm.set_superinstructions b;
-  Fun.protect ~finally:(fun () -> Gpusim.Vm.set_superinstructions prev) f
-
-let qcheck_superinsn_onoff =
-  QCheck.Test.make ~count:15
-    ~name:"superinstructions on/off: bit-identical at 1/2/4/8 workers" arb_prog (fun prog ->
-      let off = with_superinsn false (fun () -> run_jit (List.assoc 1 engines) 29L prog) in
-      let equal a b =
-        let ok = ref true in
-        for site = 0 to Field.volume a - 1 do
-          let sa = Field.get_site a ~site and sb = Field.get_site b ~site in
-          Array.iteri
-            (fun i v ->
-              if Int64.bits_of_float v <> Int64.bits_of_float sb.(i) then ok := false)
-            sa
-        done;
-        !ok
-      in
-      List.for_all
-        (fun w ->
-          let on = with_superinsn true (fun () -> run_jit (List.assoc w engines) 29L prog) in
-          Array.for_all2 equal off on)
-        [ 1; 2; 4; 8 ])
-
-(* ------------------------------------------------------------------ *)
 (* Faults: raised in worker domains, reported on the launching thread *)
 
 (* Same shape as test_gpusim's daxpy, but an integer divide whose
@@ -404,28 +374,52 @@ let qcheck_batched_sweeps =
           | _ -> false)
         [ 1; 2; 4; 8 ])
 
-(* The same random launch chains, scalar interpreter vs superinstruction
-   executor: buffer contents must match bit-for-bit and a faulting chain
-   must report the exact same message — kernel name, ctaid and tid — at
-   every worker count.  divk/addk are SoA-eligible (straight-line bodies
-   with one forward exit branch), so the SoA executor really runs here. *)
+(* The same random launch chains against a host oracle: each launch
+   applied elementwise in launch order, and the first divk launch that
+   meets a zero divisor faulting at its lowest such site.  Buffer
+   contents must match the oracle bit-for-bit, and a faulting chain must
+   report exactly the oracle's (kernel, ctaid, tid) — batched at every
+   worker count and unbatched on the sequential device. *)
+let oracle_batch_prog prog =
+  let bufs =
+    Array.init npool (fun b -> Array.init n_threads (fun i -> (i * (b + 3) mod 9) - 11))
+  in
+  let rec go = function
+    | [] -> (None, Some (Array.map (Array.map Int32.of_int) bufs))
+    | l :: rest -> (
+        let src = Array.copy bufs.(l.bl_src) in
+        match l.bl_kind with
+        | Badd c ->
+            bufs.(l.bl_dst) <- Array.map (fun v -> v + c) src;
+            go rest
+        | Bdiv -> (
+            match Array.find_index (fun v -> v = 0) src with
+            | Some i ->
+                ( Some
+                    (Printf.sprintf "integer division by zero [kernel divk, ctaid %d, tid %d]"
+                       (i / block) (i mod block)),
+                  None )
+            | None ->
+                bufs.(l.bl_dst) <- Array.map (fun v -> n_threads / v) src;
+                go rest))
+  in
+  go prog
+
 let qcheck_superinsn_faults =
   QCheck.Test.make ~count:20
-    ~name:"superinstructions on/off: identical contents and fault reports at 1/2/4/8 workers"
+    ~name:"add/div chains: contents and first fault = host oracle at 1/2/4/8 workers"
     arb_batch_prog (fun prog ->
-      let ref_fault, ref_bufs =
-        with_superinsn false (fun () -> run_batch_prog ~vm_domains:1 ~batched:false prog)
+      let expect = oracle_batch_prog prog in
+      let same (fault, bufs) =
+        match (expect, (fault, bufs)) with
+        | (None, Some rb), (None, Some b) -> Array.for_all2 (fun ra a -> ra = a) rb b
+        | (Some rm, None), (Some m, None) -> rm = m
+        | _ -> false
       in
-      List.for_all
-        (fun w ->
-          let fault, bufs =
-            with_superinsn true (fun () -> run_batch_prog ~vm_domains:w ~batched:true prog)
-          in
-          match ((ref_fault, ref_bufs), (fault, bufs)) with
-          | (None, Some rb), (None, Some b) -> Array.for_all2 (fun ra a -> ra = a) rb b
-          | (Some rm, None), (Some m, None) -> rm = m
-          | _ -> false)
-        [ 1; 2; 4; 8 ])
+      same (run_batch_prog ~vm_domains:1 ~batched:false prog)
+      && List.for_all
+           (fun w -> same (run_batch_prog ~vm_domains:w ~batched:true prog))
+           [ 1; 2; 4; 8 ])
 
 (* Two independent faulting launches (disjoint buffer pairs, so the
    sweep may genuinely overlap them): the batch must report launch 0's
@@ -548,30 +542,42 @@ EXIT:
 
 let mixk_compiled = lazy (Jit.compile mixk_text)
 
-let run_mixk ~vm_domains ~superinsn ~c ~thr =
-  with_superinsn superinsn (fun () ->
-      let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
-      let x = Device.alloc_f64 dev n_threads and y = Device.alloc_f64 dev n_threads in
-      (match (x.Buffer_.data, y.Buffer_.data) with
-      | Buffer_.F64 xa, Buffer_.F64 ya ->
-          for i = 0 to n_threads - 1 do
-            xa.{i} <- float_of_int ((i * 7 mod 23) - 11) *. 0.5;
-            ya.{i} <- -1.0
-          done
-      | _ -> assert false);
-      ignore
-        (Device.launch dev (Lazy.force mixk_compiled) ~nthreads:n_threads ~block
-           ~params:
-             [|
-               Gpusim.Vm.Ptr x;
-               Gpusim.Vm.Ptr y;
-               Gpusim.Vm.Int n_threads;
-               Gpusim.Vm.Float c;
-               Gpusim.Vm.Float thr;
-             |]);
-      match y.Buffer_.data with
-      | Buffer_.F64 ya -> Array.init n_threads (fun i -> Int64.bits_of_float ya.{i})
-      | _ -> assert false)
+let mixk_x i = float_of_int ((i * 7 mod 23) - 11) *. 0.5
+
+let run_mixk ~vm_domains ~c ~thr =
+  let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
+  let x = Device.alloc_f64 dev n_threads and y = Device.alloc_f64 dev n_threads in
+  (match (x.Buffer_.data, y.Buffer_.data) with
+  | Buffer_.F64 xa, Buffer_.F64 ya ->
+      for i = 0 to n_threads - 1 do
+        xa.{i} <- mixk_x i;
+        ya.{i} <- -1.0
+      done
+  | _ -> assert false);
+  ignore
+    (Device.launch dev (Lazy.force mixk_compiled) ~nthreads:n_threads ~block
+       ~params:
+         [|
+           Gpusim.Vm.Ptr x;
+           Gpusim.Vm.Ptr y;
+           Gpusim.Vm.Int n_threads;
+           Gpusim.Vm.Float c;
+           Gpusim.Vm.Float thr;
+         |]);
+  match y.Buffer_.data with
+  | Buffer_.F64 ya -> Array.init n_threads (fun i -> Int64.bits_of_float ya.{i})
+  | _ -> assert false
+
+(* The kernel's per-lane formula, evaluated on the host with the VM's
+   conventions (fma as a multiply then an add, both in double). *)
+let mixk_expected ~c ~thr =
+  Array.init n_threads (fun i ->
+      let x = mixk_x i in
+      let t = (x *. c) +. float_of_int i in
+      if t > thr then Int64.bits_of_float (-1.0)
+      else
+        let s = t +. x in
+        Int64.bits_of_float (s *. s))
 
 let arb_mixk =
   QCheck.make
@@ -585,14 +591,10 @@ let arb_mixk =
 
 let qcheck_mixk_bit_identity =
   QCheck.Test.make ~count:12
-    ~name:"mixed-chain kernel: 1/2/4/8 workers x executor on/off bit-identical" arb_mixk
+    ~name:"mixed-chain kernel: 1/2/4/8 workers = per-lane formula (bit)" arb_mixk
     (fun (c, thr) ->
-      let reference = run_mixk ~vm_domains:1 ~superinsn:false ~c ~thr in
-      List.for_all
-        (fun w ->
-          run_mixk ~vm_domains:w ~superinsn:false ~c ~thr = reference
-          && run_mixk ~vm_domains:w ~superinsn:true ~c ~thr = reference)
-        [ 1; 2; 4; 8 ])
+      let expected = mixk_expected ~c ~thr in
+      List.for_all (fun w -> run_mixk ~vm_domains:w ~c ~thr = expected) [ 1; 2; 4; 8 ])
 
 let test_mixk_plan_shape () =
   let s = Gpusim.Vm.superinsn_stats (Lazy.force mixk_compiled).Jit.program in
@@ -602,6 +604,270 @@ let test_mixk_plan_shape () =
   (* prologue chain | address chain + ld.g.f64 | cvt/fma/setp chain cut
      by the data-dependent exit branch | add/mul/add chain + st.g.f64 *)
   Alcotest.(check int) "units" 4 s.Gpusim.Vm.units
+
+(* ------------------------------------------------------------------ *)
+(* Predication.  joink carries the branch shapes the generators emit
+   around reduction tails: a guarded-load diamond (zero, then a load
+   skipped for odd lanes via a PAD label), a predicated branch to an AGG
+   block, and an unconditional bra over it to a JOIN label both paths
+   reach.  Per lane i, with d = divisors:
+     v = (i odd) ? 0 : x[i]
+     w = (i mod 4 = 3) ? float (1000 / d[i]) * scale + v : v * 2
+     y[i] = w + float (777 / d[i])
+   The AGG path divides by d[i] while the lanes below it wait parked at
+   JOIN, and every lane divides again after JOIN. *)
+
+let joink_text =
+  {|
+.version 3.1
+.target sm_35
+.address_size 64
+
+.visible .entry joink(
+	.param .u64 joink_param_0,
+	.param .u64 joink_param_1,
+	.param .u64 joink_param_2,
+	.param .s32 joink_param_3,
+	.param .f64 joink_param_4
+)
+{
+	ld.param.u64 	%rd1, [joink_param_0];
+	ld.param.u64 	%rd2, [joink_param_1];
+	ld.param.u64 	%rd3, [joink_param_2];
+	ld.param.s32 	%r1, [joink_param_3];
+	mov.u32 	%r2, %tid.x;
+	mov.u32 	%r3, %ntid.x;
+	mov.u32 	%r4, %ctaid.x;
+	mad.lo.s32 	%r5, %r4, %r3, %r2;
+	setp.ge.s32 	%p1, %r5, %r1;
+	@%p1 bra 	EXIT;
+	mul.lo.s32 	%r6, %r5, 8;
+	cvt.s64.s32 	%rs1, %r6;
+	cvt.u64.s64 	%rd4, %rs1;
+	add.u64 	%rd5, %rd1, %rd4;
+	mul.lo.s32 	%r7, %r5, 4;
+	cvt.s64.s32 	%rs2, %r7;
+	cvt.u64.s64 	%rd6, %rs2;
+	add.u64 	%rd7, %rd3, %rd6;
+	div.s32 	%r8, %r5, 2;
+	mul.lo.s32 	%r9, %r8, 2;
+	sub.s32 	%r10, %r5, %r9;
+	setp.ne.s32 	%p2, %r10, 0;
+	mov.f64 	%fd1, 0d0000000000000000;
+	@%p2 bra 	PAD;
+	ld.global.f64 	%fd1, [%rd5+0];
+PAD:
+	div.s32 	%r11, %r5, 4;
+	mul.lo.s32 	%r12, %r11, 4;
+	sub.s32 	%r13, %r5, %r12;
+	setp.eq.s32 	%p3, %r13, 3;
+	@%p3 bra 	AGG;
+	mul.f64 	%fd2, %fd1, 0d4000000000000000;
+	bra.uni 	JOIN;
+AGG:
+	ld.param.f64 	%fd3, [joink_param_4];
+	ld.global.s32 	%r14, [%rd7+0];
+	div.s32 	%r15, 1000, %r14;
+	cvt.rn.f64.s32 	%fd4, %r15;
+	fma.rn.f64 	%fd2, %fd4, %fd3, %fd1;
+JOIN:
+	ld.global.s32 	%r16, [%rd7+0];
+	div.s32 	%r17, 777, %r16;
+	cvt.rn.f64.s32 	%fd5, %r17;
+	add.f64 	%fd6, %fd2, %fd5;
+	add.u64 	%rd8, %rd2, %rd4;
+	st.global.f64 	[%rd8+0], %fd6;
+EXIT:
+	ret;
+}
+|}
+
+let joink_compiled = lazy (Jit.compile joink_text)
+let joink_x i = float_of_int ((i * 5 mod 17) - 8) *. 0.25
+let joink_d i = (i mod 7) + 1
+
+let run_joink ~vm_domains ~scale ~zero_sites =
+  let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
+  let x = Device.alloc_f64 dev n_threads
+  and y = Device.alloc_f64 dev n_threads
+  and d = Device.alloc_i32 dev n_threads in
+  (match (x.Buffer_.data, y.Buffer_.data, d.Buffer_.data) with
+  | Buffer_.F64 xa, Buffer_.F64 ya, Buffer_.I32 da ->
+      for i = 0 to n_threads - 1 do
+        xa.{i} <- joink_x i;
+        ya.{i} <- -1.0;
+        da.{i} <- Int32.of_int (joink_d i)
+      done;
+      List.iter (fun s -> da.{s} <- 0l) zero_sites
+  | _ -> assert false);
+  match
+    Device.launch dev (Lazy.force joink_compiled) ~nthreads:n_threads ~block
+      ~params:
+        [| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Ptr d; Gpusim.Vm.Int n_threads; scale |]
+  with
+  | exception Gpusim.Vm.Fault m -> Error m
+  | _ -> (
+      match y.Buffer_.data with
+      | Buffer_.F64 ya -> Ok (Array.init n_threads (fun i -> Int64.bits_of_float ya.{i}))
+      | _ -> assert false)
+
+let joink_expected ~scale =
+  Array.init n_threads (fun i ->
+      let v = if i mod 2 = 1 then 0.0 else joink_x i in
+      let w =
+        if i mod 4 = 3 then (float_of_int (1000 / joink_d i) *. scale) +. v else v *. 2.0
+      in
+      Int64.bits_of_float (w +. float_of_int (777 / joink_d i)))
+
+let test_joink_plan_shape () =
+  let s = Gpusim.Vm.superinsn_stats (Lazy.force joink_compiled).Jit.program in
+  Alcotest.(check int) "decoded" 44 s.Gpusim.Vm.total;
+  (* prologue | address chains + PAD setup | guarded load | PAD..bra AGG
+     | non-AGG arm | AGG arm | JOIN tail *)
+  Alcotest.(check int) "spans" 7 s.Gpusim.Vm.spans;
+  (* everything but the three branches, the bra.uni and the ret *)
+  Alcotest.(check int) "covered" 39 s.Gpusim.Vm.covered;
+  Alcotest.(check int) "units" 14 s.Gpusim.Vm.units
+
+let test_joink_values () =
+  let expected = joink_expected ~scale:1.5 in
+  List.iter
+    (fun w ->
+      match run_joink ~vm_domains:w ~scale:(Gpusim.Vm.Float 1.5) ~zero_sites:[] with
+      | Ok got ->
+          Alcotest.(check bool) (Printf.sprintf "per-lane values at w=%d" w) true (got = expected)
+      | Error m -> Alcotest.failf "w=%d: unexpected fault %s" w m)
+    [ 1; 2; 4; 8 ]
+
+(* Faults under predication.  Site 1031 = (ctaid 8, tid 7) is an AGG
+   lane: it divides by zero while lanes 0-6 of its group wait parked at
+   JOIN.  Site 1029 = (ctaid 8, tid 5) is parked there at that moment
+   and faults only later, after JOIN — the lower lane must still win, as
+   in the sequential sweep.  Binding the f64 [scale] to an integer makes
+   every AGG lane fault uniformly at its ld.param (charged to the lowest,
+   tid 3); a zero divisor at the parked tid 1 must still win. *)
+let test_joink_faults () =
+  let case ~scale ~zero_sites ~expect =
+    List.iter
+      (fun w ->
+        match run_joink ~vm_domains:w ~scale ~zero_sites with
+        | Ok _ -> Alcotest.failf "w=%d: launch did not fault (want %s)" w expect
+        | Error m -> Alcotest.(check string) (Printf.sprintf "fault at w=%d" w) expect m)
+      [ 1; 2; 4; 8 ]
+  in
+  let f = Gpusim.Vm.Float 1.5 and bad = Gpusim.Vm.Int 0 in
+  case ~scale:f ~zero_sites:[ 1031 ]
+    ~expect:"integer division by zero [kernel joink, ctaid 8, tid 7]";
+  case ~scale:f ~zero_sites:[ 1031; 1029 ]
+    ~expect:"integer division by zero [kernel joink, ctaid 8, tid 5]";
+  case ~scale:bad ~zero_sites:[]
+    ~expect:"ld.param float on non-float parameter [kernel joink, ctaid 0, tid 3]";
+  case ~scale:bad ~zero_sites:[ 1 ]
+    ~expect:"integer division by zero [kernel joink, ctaid 0, tid 1]"
+
+(* Reduction payloads branch (the radix-8 fold's padded loads; the
+   payload's aggregation tail with its PAD diamonds and AGG join), and
+   every non-control instruction of both must still plan into a fused
+   unit. *)
+let check_full_coverage what (k : Ptx.Types.kernel) =
+  let ctrl =
+    List.length
+      (List.filter (function Ptx.Types.Bra _ | Ptx.Types.Ret -> true | _ -> false) k.body)
+  in
+  let s = Gpusim.Vm.superinsn_stats (Jit.compile (Ptx.Print.kernel k)).Jit.program in
+  Alcotest.(check bool) (what ^ ": branches past the guard") true (ctrl > 2);
+  Alcotest.(check int) (what ^ ": covered") (s.Gpusim.Vm.total - ctrl) s.Gpusim.Vm.covered
+
+let test_reduction_coverage () =
+  check_full_coverage "qdpjit_reduce8_f64" (Engine.reduce_kernel ());
+  let fld = Field.create fm geom in
+  let expr = Expr.norm2_local (Expr.field fld) in
+  let b =
+    Qdpjit.Codegen.build ~reduction:true ~kname:"red_payload"
+      ~dest_shape:{ (Expr.shape expr) with Shape.prec = Shape.F64 }
+      ~expr ~nsites:(Geometry.volume geom) ~use_sitelist:false ()
+  in
+  Alcotest.(check bool) "payload has a Block_partial parameter" true
+    (List.mem Qdpjit.Codegen.Block_partial b.Qdpjit.Codegen.plan);
+  check_full_coverage "norm2 payload" b.Qdpjit.Codegen.kernel
+
+(* A backward branch: y[i] = sum of the geometric run x, 1.5x, 2.25x, ...
+   with (i mod 5) + 1 terms, accumulated in loop order.  Loops run in
+   one-lane groups, the sequential sweep itself. *)
+let loopk_text =
+  {|
+.version 3.1
+.target sm_35
+.address_size 64
+
+.visible .entry loopk(
+	.param .u64 loopk_param_0,
+	.param .u64 loopk_param_1,
+	.param .s32 loopk_param_2
+)
+{
+	ld.param.u64 	%rd1, [loopk_param_0];
+	ld.param.u64 	%rd2, [loopk_param_1];
+	ld.param.s32 	%r1, [loopk_param_2];
+	mov.u32 	%r2, %tid.x;
+	mov.u32 	%r3, %ntid.x;
+	mov.u32 	%r4, %ctaid.x;
+	mad.lo.s32 	%r5, %r4, %r3, %r2;
+	setp.ge.s32 	%p1, %r5, %r1;
+	@%p1 bra 	EXIT;
+	mul.lo.s32 	%r6, %r5, 8;
+	cvt.s64.s32 	%rs1, %r6;
+	cvt.u64.s64 	%rd3, %rs1;
+	add.u64 	%rd4, %rd1, %rd3;
+	ld.global.f64 	%fd1, [%rd4+0];
+	div.s32 	%r7, %r5, 5;
+	mul.lo.s32 	%r8, %r7, 5;
+	sub.s32 	%r9, %r5, %r8;
+	mov.f64 	%fd2, 0d0000000000000000;
+	mov.s32 	%r10, 0;
+LOOP:
+	add.f64 	%fd2, %fd2, %fd1;
+	mul.f64 	%fd1, %fd1, 0d3FF8000000000000;
+	add.s32 	%r10, %r10, 1;
+	setp.le.s32 	%p2, %r10, %r9;
+	@%p2 bra 	LOOP;
+	add.u64 	%rd5, %rd2, %rd3;
+	st.global.f64 	[%rd5+0], %fd2;
+EXIT:
+	ret;
+}
+|}
+
+let test_loopk () =
+  let compiled = Jit.compile loopk_text in
+  let expected =
+    Array.init n_threads (fun i ->
+        let acc = ref 0.0 and v = ref (mixk_x i) in
+        for _ = 0 to i mod 5 do
+          acc := !acc +. !v;
+          v := !v *. 1.5
+        done;
+        Int64.bits_of_float !acc)
+  in
+  List.iter
+    (fun w ->
+      let dev = Device.create ~vm_domains:w Machine.k20x_ecc_off in
+      let x = Device.alloc_f64 dev n_threads and y = Device.alloc_f64 dev n_threads in
+      (match x.Buffer_.data with
+      | Buffer_.F64 xa ->
+          for i = 0 to n_threads - 1 do
+            xa.{i} <- mixk_x i
+          done
+      | _ -> assert false);
+      ignore
+        (Device.launch dev compiled ~nthreads:n_threads ~block
+           ~params:[| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads |]);
+      match y.Buffer_.data with
+      | Buffer_.F64 ya ->
+          Alcotest.(check bool) (Printf.sprintf "loop results at w=%d" w) true
+            (Array.init n_threads (fun i -> Int64.bits_of_float ya.{i}) = expected)
+      | _ -> assert false)
+    [ 1; 2; 4; 8 ]
 
 let () =
   Alcotest.run "vm"
@@ -619,10 +885,19 @@ let () =
         ] );
       ( "superinstructions",
         [
-          QCheck_alcotest.to_alcotest qcheck_superinsn_onoff;
           QCheck_alcotest.to_alcotest qcheck_superinsn_faults;
           QCheck_alcotest.to_alcotest qcheck_mixk_bit_identity;
           Alcotest.test_case "mixed-chain kernel: plan shape" `Quick test_mixk_plan_shape;
+        ] );
+      ( "predication",
+        [
+          Alcotest.test_case "join kernel: plan shape" `Quick test_joink_plan_shape;
+          Alcotest.test_case "join kernel: per-lane values at 1/2/4/8 workers" `Quick
+            test_joink_values;
+          Alcotest.test_case "join kernel: lowest fault wins over parked lanes" `Quick
+            test_joink_faults;
+          Alcotest.test_case "reduction payloads fully planned" `Quick test_reduction_coverage;
+          Alcotest.test_case "backward-branch loop in one-lane groups" `Quick test_loopk;
         ] );
       ( "faults",
         [
